@@ -8,15 +8,18 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cancel.hpp"
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
 #include "trace/sweep.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -287,6 +290,31 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
   std::cout << "==========================================================\n"
             << title << "\n(" << paper_ref << ")\n"
             << "==========================================================\n";
+}
+
+// CMake build type, defined for every bench target (bench/CMakeLists.txt).
+#ifndef SPIDER_BUILD_TYPE
+#define SPIDER_BUILD_TYPE "unknown"
+#endif
+
+/// Host block for BENCH_*.json files: a recorded rate means nothing
+/// without the machine and build that produced it. Returns a JSON object:
+/// {"nproc", "cpu" (/proc/cpuinfo model name), "compiler", "build_type"}.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    cpu = line.substr(colon + 1);
+    cpu.erase(0, cpu.find_first_not_of(' '));
+    break;
+  }
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": \"" + util::json_escape(cpu) + "\", \"compiler\": \"" +
+         util::json_escape(__VERSION__) + "\", \"build_type\": \"" +
+         SPIDER_BUILD_TYPE + "\"}";
 }
 
 }  // namespace spider::bench

@@ -328,7 +328,8 @@ int main(int argc, char** argv) {
 
   // Host-dependent rates live in files only.
   if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(out, "{\n  \"cells\": [\n");
+    std::fprintf(out, "{\n  \"host\": %s,\n  \"cells\": [\n",
+                 bench::host_json().c_str());
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (const bool is_grid : {true, false}) {
         const trace::ScenarioResult& r = results[2 * c + (is_grid ? 0 : 1)];

@@ -112,13 +112,11 @@ std::uint32_t Medium::ChannelGrid::find_or_create(std::uint64_t key) {
 void Medium::ChannelGrid::occ_add(std::uint64_t key) {
   const std::size_t h = mix_cell(key) & bucket_mask;
   if (occ_refs[h]++ == 0) occ_bits[h >> 6] |= 1ull << (h & 63);
-  ++nonempty_cells;
 }
 
 void Medium::ChannelGrid::occ_sub(std::uint64_t key) {
   const std::size_t h = mix_cell(key) & bucket_mask;
   if (--occ_refs[h] == 0) occ_bits[h >> 6] &= ~(1ull << (h & 63));
-  --nonempty_cells;
 }
 
 void Medium::ChannelGrid::rehash(std::size_t capacity) {
@@ -147,12 +145,14 @@ Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
       propagation_(propagation),
       rng_(rng),
       config_(config),
-      // Correctness of the 3x3 neighborhood needs cell >= range (a radio at
-      // exactly range_m must land no further than one cell away); clamp
+      slack_m_(kGridSlackFraction * propagation_.config().range_m),
+      // Correctness of the 3x3 neighborhood needs cell >= range + slack (a
+      // receiver at exactly range_m, bucketed up to `slack` outside its
+      // cell, must still land no further than one cell away); clamp
       // explicit overrides up, and keep a floor for degenerate zero-range
       // propagation configs so cell_coord never divides by zero.
-      cell_m_(std::max({config.grid_cell_m, propagation_.config().range_m,
-                        1e-3})) {
+      cell_m_(std::max({config.grid_cell_m,
+                        propagation_.config().range_m + slack_m_, 1e-3})) {
   last_refresh_.fill(Time{-1});
 }
 
@@ -263,12 +263,13 @@ void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
   const std::int32_t cx = cell_coord(pos.x);
   const std::int32_t cy = cell_coord(pos.y);
   s.cell = pack_cell(cx, cy);
-  // Shrunken quick-accept box for the mobile sweep (see the Slot doc).
-  const double eps = cell_m_ * 1e-6;
-  s.qx0 = static_cast<double>(cx) * cell_m_ + eps;
-  s.qx1 = static_cast<double>(cx + 1) * cell_m_ - eps;
-  s.qy0 = static_cast<double>(cy) * cell_m_ + eps;
-  s.qy1 = static_cast<double>(cy + 1) * cell_m_ - eps;
+  // Bucket box for the mobile sweep: the cell grown by the hysteresis
+  // slack, less eps (see the Slot doc).
+  const double grow = slack_m_ - cell_m_ * 1e-6;
+  s.qx0 = static_cast<double>(cx) * cell_m_ - grow;
+  s.qx1 = static_cast<double>(cx + 1) * cell_m_ + grow;
+  s.qy0 = static_cast<double>(cy) * cell_m_ - grow;
+  s.qy1 = static_cast<double>(cy + 1) * cell_m_ + grow;
   pos_x_[slot] = pos.x;
   pos_y_[slot] = pos.y;
   s.pos_stamp = sim_.now();
@@ -300,42 +301,31 @@ void Medium::refresh_mobile_buckets(wire::Channel channel) {
   Time& last = last_refresh(channel);
   if (now == last) return;
   last = now;
-  ChannelGrid& g = grid(channel);
   for (const std::uint32_t slot : mobiles(channel)) {
     Slot& s = slots_[slot];
     // Motion-bound amortisation: a radio with a declared speed ceiling
-    // provably cannot have reached its cell boundary before safe_until, so
-    // its bucket is still its true cell and the position() call is skipped
-    // entirely. Its lanes go stale; the transmit loop re-samples it lazily
-    // iff it actually turns up as a candidate.
+    // provably cannot have left its bucket box before safe_until, so its
+    // bucket still holds and the position() call is skipped entirely. Its
+    // lanes go stale; the transmit loop re-samples it lazily iff it
+    // actually turns up as a candidate.
     if (now < s.safe_until) continue;
     const Position pos = slot_position(s);
     s.pos_stamp = now;
     if (pos.x >= s.qx0 && pos.x < s.qx1 && pos.y >= s.qy0 && pos.y < s.qy1) {
-      // Strictly inside the shrunken cell box — same cell, proven without
-      // a divide. This is the overwhelmingly common case (rebucketing only
-      // happens on a boundary crossing), and the sweep's whole per-mobile
-      // cost beyond the position callback: two contiguous stores.
+      // Inside the bucket box: keep the bucket, proven without a divide.
+      // This is the overwhelmingly common case, and the sweep's whole
+      // per-mobile cost beyond the position callback: two contiguous
+      // stores. The slack means a radio riding a cell boundary stays here
+      // too, instead of flapping between cells.
       pos_x_[slot] = pos.x;
       pos_y_[slot] = pos.y;
       if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
       continue;
     }
-    // Near or across a cell boundary: settle it with the exact binning.
-    const std::uint64_t key = cell_of(pos);
-    if (key == s.cell) {
-      pos_x_[slot] = pos.x;
-      pos_y_[slot] = pos.y;
-      if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
-      continue;
-    }
-    if (s.cell_idx >= g.cells.size() || g.cells[s.cell_idx].key != s.cell) {
-      grid_fatal("refresh: mobile slot's cell is absent from its grid");
-    }
-    if (s.lane_idx >= g.cells[s.cell_idx].size() ||
-        g.cells[s.cell_idx].slots[s.lane_idx] != slot) {
-      grid_fatal("refresh: mobile slot missing from its recorded cell");
-    }
+    // Left the box: the slack puts it outside its cell, so it moves to its
+    // true cell (only a zero-range config has no slack; re-entering the
+    // same cell is still exact there). grid_remove checks the recorded
+    // cell and aborts on a corrupt one.
     grid_remove(channel, slot);
     grid_insert(channel, slot, pos);
     ++grid_rebuckets_;
@@ -399,11 +389,6 @@ void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
   const CellSoA& c = *lists[0];
   scratch_slots_.insert(scratch_slots_.end(), c.slots.begin() + heads[0],
                         c.slots.end());
-}
-
-bool Medium::auto_prefers_grid(wire::Channel channel) {
-  if (cohort(channel).size() < kAutoMinCohort) return false;
-  return grid(channel).nonempty_cells >= kAutoMinOccupiedCells;
 }
 
 std::uint32_t Medium::allocate_slot() {
@@ -586,18 +571,15 @@ void Medium::inject_shard_fanout(wire::Channel channel, const Position& tx_pos,
 void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
                     BitRate rate, wire::Frame&& frame,
                     std::uint32_t sender_slot, std::uint64_t exclude_gid) {
-  bool use_grid = grid_enabled();
-  if (config_.neighbor_index == NeighborIndex::kAuto) {
-    use_grid = auto_prefers_grid(channel);
-    ++(use_grid ? auto_grid_tx_ : auto_brute_tx_);
-  }
+  const bool use_grid = grid_enabled();
   std::size_t count;
   if (use_grid) {
     // Bring this channel's mobile buckets and position lanes up to this
     // timestamp first, so the 3x3 neighborhood below cannot miss a receiver
-    // that drifted across a cell boundary since the last transmit. The
-    // sender itself is always in the center cell afterwards (mobile: just
-    // refreshed; static: bucketed at its fixed attach position).
+    // that drifted out of its bucket box since the last transmit. The
+    // sender itself is always within the 3x3 neighborhood afterwards
+    // (mobile: at most `slack` outside its bucket; static: bucketed at its
+    // fixed attach position).
     refresh_mobile_buckets(channel);
     gather_neighborhood(channel, tx_pos);
     count = scratch_slots_.size();

@@ -27,17 +27,12 @@ enum class NeighborIndex {
   /// transmission; kept as the differential-test oracle and the perf
   /// baseline for the grid.
   kBruteForce,
-  /// Uniform spatial hash: radios bucket into range-sized cells, transmit
-  /// visits only the 3x3 cell neighborhood of the transmitter. Sub-linear
-  /// in deployment size and byte-identical to the brute-force scan (see
-  /// DESIGN.md §10 for the order-preservation argument).
+  /// Uniform spatial hash: radios bucket into cells of at least range plus
+  /// a hysteresis slack, transmit visits only the 3x3 cell neighborhood of
+  /// the transmitter. Sub-linear in deployment size and byte-identical to
+  /// the brute-force scan (see DESIGN.md §10 for the order-preservation
+  /// argument).
   kGrid,
-  /// Per-channel adaptive choice: each transmit picks grid or brute force
-  /// from the channel's measured cohort density (cohort size and occupied
-  /// cell count — see DESIGN.md §10). Both paths are byte-identical by the
-  /// order-preservation rule, so the pick is a pure cost decision; grid
-  /// membership is maintained either way.
-  kAuto,
 };
 
 /// Default max retransmissions of a unicast frame. Stock drivers use ~7;
@@ -45,13 +40,20 @@ enum class NeighborIndex {
 /// mobility. The sender's occupancy for retries is not modelled.
 inline constexpr int kMediumDefaultRetryLimit = 4;
 
+/// Bucket hysteresis of mobile radios in the grid, as a fraction of the
+/// propagation range: a mobile keeps its cell while it stays within this
+/// slack of the cell's bounds, so a radio riding a cell boundary is not
+/// re-sampled on every transmit (DESIGN.md §10).
+inline constexpr double kGridSlackFraction = 0.1;
+
 /// Construction-time knobs of the medium. The neighbor index is fixed for
 /// the medium's lifetime — differential tests build one medium per mode.
 struct MediumConfig {
   NeighborIndex neighbor_index = NeighborIndex::kGrid;
-  /// Grid cell edge in meters. 0 derives it from the propagation range;
-  /// explicit values below the range are clamped up to it (correctness of
-  /// the 3x3 neighborhood requires cell >= range, DESIGN.md §10).
+  /// Grid cell edge in meters. 0 derives it as range + slack (the mobile
+  /// hysteresis margin, kGridSlackFraction of the range); explicit values
+  /// below that are clamped up to it (correctness of the 3x3 neighborhood
+  /// requires cell >= range + slack, DESIGN.md §10).
   double grid_cell_m = 0.0;
   /// 802.11 ARQ retry budget for unicast frames to their addressee.
   int retry_limit = kMediumDefaultRetryLimit;
@@ -85,8 +87,8 @@ struct MediumConfig {
 /// receiver in O(1) (immune to a new radio reusing a detached radio's
 /// address). At city scale even the per-channel cohort is too big to scan
 /// per frame, so radios additionally bucket into a uniform spatial hash
-/// grid (DESIGN.md §10): transmit visits only the 3x3 range-sized cell
-/// neighborhood of the transmitter, with candidate order — and therefore
+/// grid (DESIGN.md §10): transmit visits only the 3x3 cell neighborhood
+/// of the transmitter, with candidate order — and therefore
 /// every RNG draw and delivered-frame set — byte-identical to the
 /// brute-force scan, which stays available via MediumConfig as the
 /// differential-test oracle. Cells are flat SoA lanes (slot / attach_seq /
@@ -125,8 +127,10 @@ class Medium {
   sim::Simulator& simulator() { return sim_; }
   int retry_limit() const { return config_.retry_limit; }
   const MediumConfig& config() const { return config_; }
-  /// Grid cell edge actually in use (propagation range unless overridden).
+  /// Grid cell edge actually in use (range + slack unless overridden).
   double grid_cell_m() const { return cell_m_; }
+  /// Mobile bucket hysteresis in meters (kGridSlackFraction of the range).
+  double grid_slack_m() const { return slack_m_; }
 
   /// Fault-injection hook: adds `extra_loss` (in [0,1]) to every frame on
   /// `channel`, combined independently with the propagation loss. One
@@ -158,10 +162,6 @@ class Medium {
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
   std::uint64_t grid_rebuckets() const { return grid_rebuckets_; }
-  /// kAuto transmits that picked the grid path / the brute-force path.
-  /// Both zero unless neighbor_index == kAuto.
-  std::uint64_t neighbor_auto_grid_tx() const { return auto_grid_tx_; }
-  std::uint64_t neighbor_auto_brute_tx() const { return auto_brute_tx_; }
 
   /// Folds the medium's fan-out counters into engine perf counters.
   void add_perf(sim::PerfCounters& perf) const {
@@ -248,23 +248,23 @@ class Medium {
     /// shifts (attach, detach, rebucket).
     std::uint32_t cell_idx = 0;
     std::uint32_t lane_idx = 0;
-    /// Quick same-cell acceptance box: `cell`'s bounds shrunk by
-    /// eps = cell_m * 1e-6 on each side. A position strictly inside is in
-    /// `cell` under exact floor(x / cell_m) binning — the shrink exceeds
-    /// every rounding error of the k*cell_m products and the division by
-    /// >1000x for any cell coordinate representable in an int32 — so the
-    /// sweep's hot path is four compares, no divides. Boundary-adjacent
-    /// positions fail the box and fall back to cell_of(); binning semantics
-    /// are exactly unchanged.
+    /// Bucket box: `cell`'s bounds grown by the hysteresis slack, then
+    /// shrunk by eps = cell_m * 1e-6 on each side (the shrink exceeds every
+    /// rounding error of the k*cell_m products). A mobile keeps `cell`
+    /// while its position stays inside — four compares, no divides — and
+    /// moves to its true floor(x / cell_m) cell once it leaves. Every
+    /// bucketed radio is therefore within `slack` of its cell on each
+    /// axis, which a cell edge >= range + slack absorbs (DESIGN.md §10).
     double qx0 = 1.0, qx1 = 0.0;  ///< empty box until grid_insert fills it
     double qy0 = 1.0, qy1 = 0.0;
     /// Copy of RadioConfig::max_speed_mps (0 = no motion bound declared).
     double max_speed = 0.0;
     /// Motion-bound horizon: with a declared speed ceiling, the earliest
-    /// sim time at which this radio could reach its cell boundary. The
-    /// mobile sweep skips the slot (no position() call, no lane refresh)
-    /// while now < safe_until — its bucket is provably still its true
-    /// cell. Time{0} (no ceiling, or boundary-adjacent) disables the skip.
+    /// sim time at which this radio could leave its bucket box. The mobile
+    /// sweep skips the slot (no position() call, no lane refresh) while
+    /// now < safe_until — its bucket provably still holds. Just after a
+    /// (re)bucket the horizon is at least ~slack / ceiling. Time{0} (no
+    /// ceiling) disables the skip.
     Time safe_until{0};
     /// Sim time the position lanes were last written. A transmit's grid
     /// loop re-samples a mobile candidate whose lanes are stale (skipped by
@@ -347,7 +347,6 @@ class Medium {
     std::vector<std::uint32_t> occ_refs;  ///< non-empty cells homed at bucket
     std::vector<CellSoA> cells;           ///< SoA pool; indices are stable
     std::size_t bucket_mask = 0;          ///< capacity - 1 (0: unallocated)
-    std::size_t nonempty_cells = 0;       ///< currently occupied cells
 
     /// Table lookup, bitmap-gated: kNoCell when the cell is absent *or*
     /// currently empty — exactly the cells a neighborhood probe skips.
@@ -363,25 +362,14 @@ class Medium {
   };
 
   bool grid_enabled() const {
-    return config_.neighbor_index != NeighborIndex::kBruteForce;
+    return config_.neighbor_index == NeighborIndex::kGrid;
   }
-  /// kAuto per-transmit pick: the grid pays off once the cohort is big
-  /// enough to amortise the probe/merge/sweep overhead *and* spread over
-  /// enough cells that the 3x3 neighborhood prunes most of it (expected
-  /// visited fraction ~ 9 / occupied-cells). Below either bound the
-  /// brute-force cohort scan is the cheaper loop.
-  static constexpr std::size_t kAutoMinCohort = 32;
-  static constexpr std::size_t kAutoMinOccupiedCells = 16;
-  bool auto_prefers_grid(wire::Channel channel);
 
   static std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
            static_cast<std::uint32_t>(cy);
   }
   std::int32_t cell_coord(double meters) const;
-  std::uint64_t cell_of(const Position& pos) const {
-    return pack_cell(cell_coord(pos.x), cell_coord(pos.y));
-  }
   ChannelGrid& grid(wire::Channel channel);
   void grid_insert(wire::Channel channel, std::uint32_t slot,
                    const Position& pos);
@@ -392,17 +380,17 @@ class Medium {
   [[noreturn]] static void grid_fatal(const char* what);
   /// Per-channel position-epoch sweep: once per distinct sim timestamp
   /// *per channel*, re-sample that channel's mobile radios, refresh their
-  /// position lanes, and move the ones that crossed a cell boundary.
+  /// position lanes, and move the ones that left their bucket box.
   /// Stationary radios and other channels' mobiles are never touched, and
   /// mobiles with a declared speed ceiling are skipped outright while
   /// their motion-bound horizon (Slot::safe_until) proves they cannot have
-  /// left their cell — the amortisation that keeps the sweep sub-linear in
+  /// left their box — the amortisation that keeps the sweep sub-linear in
   /// mobiles per timestamp.
   void refresh_mobile_buckets(wire::Channel channel);
-  /// Earliest sim time at which a speed-bounded slot at `pos` could reach
-  /// its cell boundary (requires s.max_speed > 0). Measured against the
-  /// shrunken quick box minus a 1 mm guard, with sec() truncating — every
-  /// error source under-estimates the horizon, never over.
+  /// Earliest sim time at which a speed-bounded slot at `pos` could leave
+  /// its bucket box (requires s.max_speed > 0). Measured against the box
+  /// minus a 1 mm guard, with sec() truncating — every error source
+  /// under-estimates the horizon, never over.
   Time motion_horizon(const Slot& s, const Position& pos) const;
   /// Fills scratch_slots_ with the 3x3 neighborhood of `pos` on `channel`
   /// via a 9-way merge of attach_seq-sorted cell lanes (the brute-force
@@ -417,6 +405,7 @@ class Medium {
   Propagation propagation_;
   Rng rng_;
   MediumConfig config_;
+  double slack_m_ = 0.0;
   double cell_m_ = 0.0;
 
   std::vector<Slot> slots_;
@@ -480,8 +469,6 @@ class Medium {
   std::uint64_t candidates_examined_ = 0;
   std::uint64_t grid_cells_scanned_ = 0;
   std::uint64_t grid_rebuckets_ = 0;
-  std::uint64_t auto_grid_tx_ = 0;
-  std::uint64_t auto_brute_tx_ = 0;
 };
 
 }  // namespace spider::phy

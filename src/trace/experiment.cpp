@@ -311,10 +311,6 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     result.metrics.count("phy.grid_cells_scanned",
                          bed.medium.grid_cells_scanned());
     result.metrics.count("phy.grid_rebuckets", bed.medium.grid_rebuckets());
-    result.metrics.count("phy.neighbor_auto_grid_tx",
-                         bed.medium.neighbor_auto_grid_tx());
-    result.metrics.count("phy.neighbor_auto_brute_tx",
-                         bed.medium.neighbor_auto_brute_tx());
     result.traces.push_back(std::move(tracer));
   }
   return result;

@@ -65,13 +65,13 @@ struct ScenarioConfig {
   std::vector<mob::ApSite> fixed_sites;
   phy::PropagationConfig propagation;
   /// Medium neighbor search: the spatial grid by default; brute force is
-  /// the differential-test oracle; kAuto picks grid or brute per transmit
-  /// from the channel's cohort density (results are byte-identical in all
-  /// three modes — the choice is purely a cost decision).
+  /// the differential-test oracle (results are byte-identical in both
+  /// modes — the choice is purely a cost decision).
   phy::NeighborIndex neighbor_index = phy::NeighborIndex::kGrid;
   /// Explicit grid cell edge in meters (0 derives it from the propagation
-  /// range). Non-zero values below the range are a config error — the
-  /// medium would silently clamp them — and are rejected by validate().
+  /// range plus the medium's hysteresis slack). Non-zero values below the
+  /// range are a config error and are rejected by validate(); values
+  /// between range and range + slack are clamped up by the medium.
   double grid_cell_m = 0.0;
   net::DhcpServerConfig dhcp_server;
   Time backhaul_delay = msec(10);

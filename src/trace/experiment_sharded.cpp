@@ -313,6 +313,7 @@ ScenarioResult execute_scenario_sharded(const ScenarioConfig& config,
             std::make_unique<core::LinkManager>(*rig.fatvap, bed.server_ip());
         harness.attach(*rig.manager);
         rig.fatvap->start();
+        rig.manager->start();
         radio = &rig.fatvap->radio();
         break;
       }
@@ -406,17 +407,13 @@ ScenarioResult execute_scenario_sharded(const ScenarioConfig& config,
   if (tracer) {
     beds[0]->sim.set_tracer(nullptr);
     result.metrics = tracer->metrics();
-    std::uint64_t cells = 0, rebuckets = 0, auto_grid = 0, auto_brute = 0;
+    std::uint64_t cells = 0, rebuckets = 0;
     for (phy::Medium* m : mediums) {
       cells += m->grid_cells_scanned();
       rebuckets += m->grid_rebuckets();
-      auto_grid += m->neighbor_auto_grid_tx();
-      auto_brute += m->neighbor_auto_brute_tx();
     }
     result.metrics.count("phy.grid_cells_scanned", cells);
     result.metrics.count("phy.grid_rebuckets", rebuckets);
-    result.metrics.count("phy.neighbor_auto_grid_tx", auto_grid);
-    result.metrics.count("phy.neighbor_auto_brute_tx", auto_brute);
     result.traces.push_back(std::move(tracer));
   }
   // Formation diagnostics ride every sharded result, traced or not (the

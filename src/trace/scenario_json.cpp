@@ -305,9 +305,8 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
   }
   os << "]}"
      << ",\"neighbor_index\":\""
-     << (config.neighbor_index == phy::NeighborIndex::kGrid   ? "grid"
-         : config.neighbor_index == phy::NeighborIndex::kAuto ? "auto"
-                                                              : "brute")
+     << (config.neighbor_index == phy::NeighborIndex::kGrid ? "grid"
+                                                            : "brute")
      << '"' << ",\"grid_cell_m\":" << json_number(config.grid_cell_m);
   if (config.city) {
     os << ",\"city\":{\"width_m\":" << json_number(config.city->width_m)
@@ -445,10 +444,8 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
         out.neighbor_index = phy::NeighborIndex::kGrid;
       } else if (name == "brute") {
         out.neighbor_index = phy::NeighborIndex::kBruteForce;
-      } else if (name == "auto") {
-        out.neighbor_index = phy::NeighborIndex::kAuto;
       } else {
-        return set_error(error, "neighbor_index must be grid|brute|auto");
+        return set_error(error, "neighbor_index must be grid|brute");
       }
     } else if (key == "grid_cell_m") {
       out.grid_cell_m = value.number_or(-1.0);

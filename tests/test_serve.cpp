@@ -402,6 +402,13 @@ TEST(Protocol, ExtensionErrorsNameTheOffendingField) {
             "unknown impairments key 'x'");
 }
 
+TEST(Protocol, NeighborIndexIsGridOrBrute) {
+  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"grid"})"), "");
+  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"brute"})"), "");
+  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"auto"})"),
+            "neighbor_index must be grid|brute");
+}
+
 TEST(Protocol, OnlineStatsMomentsReconstructExactly) {
   OnlineStats a;
   for (int i = 0; i < 100; ++i) a.add(0.1 * i * (i % 7 ? 1.0 : -1.0));

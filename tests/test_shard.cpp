@@ -623,5 +623,47 @@ TEST(ShardScenario, ShardedRunIsDeterministicAndCompletes) {
   EXPECT_EQ(r1.perf.frames_tx, r2.perf.frames_tx);
 }
 
+// Every driver must really run under the sharded engine, not merely
+// reproduce itself: the sharded FatVAP kernel once never started its
+// LinkManager, so at widths >= 2 it made no joins and moved no bytes while
+// the serial run did both. Width 1 dispatches to the serial engine and
+// must equal it exactly.
+TEST(ShardScenario, EveryDriverJoinsAndMovesBytesAtEveryWidth) {
+  ScenarioConfig base;
+  base.seed = 3;
+  base.duration = sec(15);
+  base.clients = 8;
+  base.speed_mps = 10.0;
+  mob::CityGridConfig city;
+  city.width_m = 1000.0;
+  city.height_m = 1000.0;
+  city.aps_per_km2 = 200.0;
+  base.city = city;
+  for (const DriverKind driver :
+       {DriverKind::kSpider, DriverKind::kStock, DriverKind::kFatVap}) {
+    ScenarioConfig cfg = base;
+    cfg.driver = driver;
+    const ScenarioResult serial = detail::execute_scenario(cfg, nullptr);
+    for (const int shards : {1, 2, 4}) {
+      cfg.shards = shards;
+      const ScenarioResult r = detail::execute_scenario(cfg, nullptr);
+      const std::string where = std::string(to_string(driver)) + " shards " +
+                                std::to_string(shards);
+      EXPECT_TRUE(r.completed) << where;
+      EXPECT_GT(r.joins_attempted, 0u) << where;
+      EXPECT_GT(r.total_bytes, 0u) << where;
+      if (shards == 1) {
+        EXPECT_EQ(r.total_bytes, serial.total_bytes) << where;
+        EXPECT_EQ(r.joins_attempted, serial.joins_attempted) << where;
+        EXPECT_EQ(r.e2e_succeeded, serial.e2e_succeeded) << where;
+        EXPECT_EQ(r.switches, serial.switches) << where;
+        EXPECT_DOUBLE_EQ(r.connectivity, serial.connectivity) << where;
+        EXPECT_EQ(r.perf.events_popped, serial.perf.events_popped) << where;
+        EXPECT_EQ(r.perf.frames_tx, serial.perf.frames_tx) << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spider::trace

@@ -76,25 +76,21 @@ struct WorldResult {
   std::uint64_t candidates = 0;
   std::uint64_t rebuckets = 0;
   std::uint64_t cells_scanned = 0;
-  std::uint64_t auto_grid_tx = 0;
-  std::uint64_t auto_brute_tx = 0;
 };
 
 /// Knobs for the randomized world generator. The defaults reproduce the
-/// historical 200-seed corpus; the denser preset makes per-channel cohorts
-/// big and spread enough that kAuto's grid arm actually engages.
+/// historical 200-seed corpus.
 struct WorldShape {
-  int n_min = 2;
-  int n_max = 40;
-  double side_min = 100.0;
-  double side_max = 600.0;
-  double range_min = 30.0;
-  double range_max = 150.0;
   /// Declare each mobile's exact speed as RadioConfig::max_speed_mps, so
   /// the medium's motion-bound rebucket amortisation engages. Off by
   /// default: the same world then runs with per-timestamp re-sampling,
   /// giving a differential baseline for the amortised path.
   bool declare_speed = false;
+  /// Extra mobiles driving axis-aligned routes that sit on (or within the
+  /// hysteresis slack of) a grid cell boundary — the city's street layout
+  /// on cell-multiple coordinates. Appended after the random radios, so 0
+  /// leaves the historical corpus untouched.
+  int boundary_riders = 0;
 };
 
 /// One randomized deployment driven by `seed`, executed under the given
@@ -105,10 +101,10 @@ struct WorldShape {
 WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
                       const WorldShape& shape = {}) {
   Rng setup(seed);
-  const int n = static_cast<int>(setup.uniform_int(shape.n_min, shape.n_max));
-  const double side = setup.uniform(shape.side_min, shape.side_max);
+  const int n = static_cast<int>(setup.uniform_int(2, 40));
+  const double side = setup.uniform(100.0, 600.0);
   PropagationConfig pc;
-  pc.range_m = setup.uniform(shape.range_min, shape.range_max);
+  pc.range_m = setup.uniform(30.0, 150.0);
   pc.good_radius_m = pc.range_m * setup.uniform(0.5, 1.0);
   pc.base_loss = setup.uniform(0.0, 0.3);
   const double mobile_fraction = setup.uniform(0.0, 1.0);
@@ -117,6 +113,13 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   Medium medium(sim, Propagation(pc), Rng(seed * 31 + 7), indexed(mode));
 
   WorldResult out;
+  const auto log_delivery = [&out, &sim](int i) {
+    return [&out, i, &sim](const wire::Frame& f) {
+      out.log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
+                 ":" + std::to_string(f.src.raw()) + ":" +
+                 std::to_string(f.size_bytes) + ";";
+    };
+  };
   std::vector<std::unique_ptr<Radio>> radios;
   radios.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -136,13 +139,39 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
           return Position{start.x + vx * t, start.y + vy * t};
         },
         rc));
-    radios.back()->set_receiver([&out, i, &sim](const wire::Frame& f) {
-      out.log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
-                 ":" + std::to_string(f.src.raw()) + ":" +
-                 std::to_string(f.size_bytes) + ";";
-    });
+    radios.back()->set_receiver(log_delivery(i));
     radios.back()->tune(kChannels[setup.uniform_int(0, 2)]);
   }
+  // Boundary riders: one coordinate pinned to k * cell (+ a fraction of the
+  // slack), the other sweeping along at a constant speed. The cell edge is
+  // a pure function of the propagation config, so both modes build the
+  // same routes.
+  const double cell = medium.grid_cell_m();
+  const double slack = medium.grid_slack_m();
+  constexpr double kRiderOffsets[] = {0.0, 0.0, 0.5, -0.5, 1.0, -1.0};
+  for (int r = 0; r < shape.boundary_riders; ++r) {
+    const int i = static_cast<int>(radios.size());
+    const auto k = static_cast<double>(
+        setup.uniform_int(0, static_cast<std::int64_t>(side / cell) + 1));
+    const double line =
+        k * cell + slack * kRiderOffsets[setup.uniform_int(0, 5)];
+    const double along = setup.uniform(0.0, side);
+    const double v = setup.uniform(-25.0, 25.0);
+    const bool horizontal = setup.chance(0.5);
+    RadioConfig rc;
+    rc.mobile = true;
+    if (shape.declare_speed) rc.max_speed_mps = std::abs(v);
+    radios.push_back(std::make_unique<Radio>(
+        medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
+        [line, along, v, horizontal, &sim] {
+          const double a = along + v * to_seconds(sim.now());
+          return horizontal ? Position{a, line} : Position{line, a};
+        },
+        rc));
+    radios.back()->set_receiver(log_delivery(i));
+    radios.back()->tune(kChannels[setup.uniform_int(0, 2)]);
+  }
+  const int total = static_cast<int>(radios.size());
 
   // Scripted traffic: sends (broadcast and unicast, exercising ARQ),
   // mid-run retunes, and mid-run detaches (radio destruction with frames
@@ -152,12 +181,13 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   for (int e = 0; e < kEvents; ++e) {
     const Time at = usec(setup.uniform_int(10'000, 3'000'000));
     const int kind = static_cast<int>(setup.uniform_int(0, 99));
-    const auto idx = static_cast<std::size_t>(setup.uniform_int(0, n - 1));
+    const auto idx =
+        static_cast<std::size_t>(setup.uniform_int(0, total - 1));
     if (kind < 70) {
       wire::Frame f;
       f.type = wire::FrameType::kData;
       f.src = wire::MacAddress(idx + 1);
-      const auto dst = static_cast<std::uint64_t>(setup.uniform_int(1, n));
+      const auto dst = static_cast<std::uint64_t>(setup.uniform_int(1, total));
       f.dst = setup.chance(0.5) ? wire::MacAddress::broadcast()
                                 : wire::MacAddress(dst);
       f.size_bytes = static_cast<std::size_t>(setup.uniform_int(60, 1500));
@@ -182,8 +212,6 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   out.candidates = medium.candidates_examined();
   out.rebuckets = medium.grid_rebuckets();
   out.cells_scanned = medium.grid_cells_scanned();
-  out.auto_grid_tx = medium.neighbor_auto_grid_tx();
-  out.auto_brute_tx = medium.neighbor_auto_brute_tx();
   return out;
 }
 
@@ -202,58 +230,6 @@ TEST(SpatialIndexDifferential, GridMatchesBruteForceAcross200Deployments) {
     ASSERT_LE(grid.candidates, brute.candidates) << "seed " << seed;
     ASSERT_EQ(brute.rebuckets, 0u) << "seed " << seed;
   }
-}
-
-// kAuto flips between the two search structures per transmit, so a third
-// run of the same corpus must stay byte-identical to both fixed modes —
-// the choice of structure can never leak into the simulation.
-TEST(SpatialIndexDifferential, AutoMatchesBothModesAcross200Deployments) {
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult grid = run_world(NeighborIndex::kGrid, seed);
-    const WorldResult auto_r = run_world(NeighborIndex::kAuto, seed);
-    ASSERT_EQ(auto_r.log, grid.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.sent, grid.sent) << "seed " << seed;
-    ASSERT_EQ(auto_r.delivered, grid.delivered) << "seed " << seed;
-    ASSERT_EQ(auto_r.dropped_at_rx, grid.dropped_at_rx) << "seed " << seed;
-    ASSERT_EQ(auto_r.fanout, grid.fanout) << "seed " << seed;
-    // Every transmit is attributed to exactly one arm, and the fixed modes
-    // never tick the auto counters.
-    ASSERT_EQ(auto_r.auto_grid_tx + auto_r.auto_brute_tx, auto_r.sent)
-        << "seed " << seed;
-    ASSERT_EQ(grid.auto_grid_tx + grid.auto_brute_tx, 0u) << "seed " << seed;
-  }
-}
-
-// The default corpus is sparse (2-40 radios over up to 600 m), so kAuto
-// mostly picks brute. A denser preset — bigger cohorts spread over more
-// cells — must engage the grid arm somewhere in the corpus, and stay
-// byte-identical to both fixed modes while doing so.
-TEST(SpatialIndexDifferential, AutoEngagesGridOnDenseDeployments) {
-  WorldShape dense;
-  dense.n_min = 60;
-  dense.n_max = 120;
-  dense.side_min = 600.0;
-  dense.side_max = 900.0;
-  dense.range_min = 30.0;
-  dense.range_max = 80.0;
-  std::uint64_t grid_arm_tx = 0;
-  std::uint64_t brute_arm_tx = 0;
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const WorldResult grid = run_world(NeighborIndex::kGrid, seed, dense);
-    const WorldResult brute =
-        run_world(NeighborIndex::kBruteForce, seed, dense);
-    const WorldResult auto_r = run_world(NeighborIndex::kAuto, seed, dense);
-    ASSERT_EQ(grid.log, brute.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.log, grid.log) << "seed " << seed;
-    ASSERT_EQ(auto_r.delivered, grid.delivered) << "seed " << seed;
-    ASSERT_EQ(auto_r.fanout, grid.fanout) << "seed " << seed;
-    grid_arm_tx += auto_r.auto_grid_tx;
-    brute_arm_tx += auto_r.auto_brute_tx;
-  }
-  EXPECT_GT(grid_arm_tx, 0u)
-      << "auto never chose the grid on a corpus dense enough to warrant it";
-  EXPECT_GT(brute_arm_tx, 0u)
-      << "auto never fell back to brute force (small channels exist here)";
 }
 
 // A declared motion bound (RadioConfig::max_speed_mps) lets the mobile
@@ -281,73 +257,34 @@ TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
   }
 }
 
-// --- kAuto: per-channel split ----------------------------------------
-// One medium, two channels of very different density: a 40-radio line on
-// channel 1 (cohort >= kAutoMinCohort, spread across >= kAutoMinOccupiedCells
-// cells) and a 4-radio cluster on channel 6. kAuto must pick the grid for
-// the dense channel and brute force for the sparse one — in the same run —
-// and deliver exactly what both fixed modes deliver.
-
-TEST(SpatialIndexAuto, SplitsPerChannelByDensityWithinOneMedium) {
-  std::string logs[3];
-  int slot = 0;
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
-    sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(17),
-                  indexed(mode));
-    RadioConfig stationary;
-    stationary.mobile = false;
-    std::vector<std::unique_ptr<Radio>> radios;
-    // Dense channel: 40 radios, 60 m apart — a 2.3 km line over 100 m
-    // cells, so ~24 occupied cells.
-    constexpr int kDense = 40;
-    for (int i = 0; i < kDense; ++i) {
-      const Position p{static_cast<double>(i) * 60.0, 0.0};
-      radios.push_back(std::make_unique<Radio>(
-          medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
-          [p] { return p; }, stationary));
-      radios.back()->tune(1);
-    }
-    // Sparse channel: 4 radios in one cell.
-    for (int i = 0; i < 4; ++i) {
-      const Position p{static_cast<double>(i) * 10.0, 5000.0};
-      radios.push_back(std::make_unique<Radio>(
-          medium, wire::MacAddress(static_cast<std::uint64_t>(kDense + i) + 1),
-          [p] { return p; }, stationary));
-      radios.back()->tune(6);
-    }
-    std::string& log = logs[slot];
-    for (std::size_t i = 0; i < radios.size(); ++i) {
-      radios[i]->set_receiver([&log, i, &sim](const wire::Frame& f) {
-        log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
-               ":" + std::to_string(f.src.raw()) + ";";
-      });
-    }
-    sim.run_until(msec(50));
-    for (std::size_t i = 0; i < radios.size(); ++i) {
-      sim.post(msec(2) * static_cast<int>(i), [&radios, i] {
-        wire::Frame f = broadcast_frame();
-        f.src = wire::MacAddress(i + 1);
-        radios[i]->send(f);
-      });
-    }
-    sim.run_until(sec(1));
-    if (mode == NeighborIndex::kAuto) {
-      // 40 dense-channel transmits through the grid, 4 sparse ones through
-      // the brute scan.
-      EXPECT_EQ(medium.neighbor_auto_grid_tx(), 40u);
-      EXPECT_EQ(medium.neighbor_auto_brute_tx(), 4u);
-    } else {
-      EXPECT_EQ(medium.neighbor_auto_grid_tx(), 0u);
-      EXPECT_EQ(medium.neighbor_auto_brute_tx(), 0u);
-    }
-    ++slot;
+// Boundary riders exercise the bucket hysteresis: a mobile on a cell-edge
+// street keeps whichever bucket it entered until it strays a full slack
+// away, so its bucket is often not its true cell. The grid must still find
+// every in-range receiver (delivered log equal to brute force), and the
+// declared-speed amortisation must stay invisible on those routes too.
+TEST(SpatialIndexDifferential, BoundaryRidersMatchBruteForceAcross200Seeds) {
+  WorldShape riders;
+  riders.boundary_riders = 6;
+  WorldShape hinted = riders;
+  hinted.declare_speed = true;
+  std::uint64_t rebuckets = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const WorldResult fast = run_world(NeighborIndex::kGrid, seed, hinted);
+    const WorldResult plain = run_world(NeighborIndex::kGrid, seed, riders);
+    const WorldResult brute =
+        run_world(NeighborIndex::kBruteForce, seed, riders);
+    ASSERT_EQ(plain.log, brute.log) << "seed " << seed;
+    ASSERT_EQ(fast.log, brute.log) << "seed " << seed;
+    ASSERT_EQ(plain.delivered, brute.delivered) << "seed " << seed;
+    ASSERT_EQ(plain.dropped_at_rx, brute.dropped_at_rx) << "seed " << seed;
+    ASSERT_EQ(plain.fanout, brute.fanout) << "seed " << seed;
+    ASSERT_LE(plain.candidates, brute.candidates) << "seed " << seed;
+    ASSERT_EQ(fast.candidates, plain.candidates) << "seed " << seed;
+    ASSERT_EQ(fast.cells_scanned, plain.cells_scanned) << "seed " << seed;
+    ASSERT_EQ(fast.rebuckets, plain.rebuckets) << "seed " << seed;
+    rebuckets += plain.rebuckets;
   }
-  EXPECT_EQ(logs[0], logs[1]);
-  EXPECT_EQ(logs[0], logs[2]);
-  EXPECT_FALSE(logs[0].empty());
+  EXPECT_GT(rebuckets, 0u) << "no rider ever left its bucket box";
 }
 
 // --- checked fatal errors --------------------------------------------
@@ -412,8 +349,7 @@ TEST(SpatialIndexCounter, EmptyCandidateSetDoesNotUnderflowCounter) {
 
 TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
   for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
+       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
     sim::Simulator sim;
     Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
                   indexed(mode));
@@ -437,11 +373,10 @@ TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
 // lanes) and brute force (cohort vector, clobber-immune).
 
 TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
-  std::string logs[3];
+  std::string logs[2];
   int slot = 0;
   for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce,
-        NeighborIndex::kAuto}) {
+       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
     sim::Simulator sim;
     Medium medium(sim, Propagation(lossless_config(100.0)), Rng(23),
                   indexed(mode));
@@ -483,12 +418,11 @@ TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
     ++slot;
   }
   EXPECT_EQ(logs[0], logs[1]);
-  EXPECT_EQ(logs[0], logs[2]);
   EXPECT_FALSE(logs[0].empty());
 }
 
 // --- property: boundary coverage -------------------------------------
-// With cell == range, a radio at exactly range_m from the transmitter sits
+// With cell >= range, a radio at exactly range_m from the transmitter sits
 // at most one cell away on each axis, so the 3x3 neighborhood must contain
 // every in-range radio — including radios exactly on cell boundaries and
 // exactly at range_m (in_range_at uses <=, and with good_radius == range
@@ -559,10 +493,13 @@ TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
     stationary.mobile = false;
     Radio tx(medium, wire::MacAddress(1),
              [] { return Position{150.0, 50.0}; }, stationary);
-    // Crosses the x = 100 cell boundary at t = 0.1 s while staying well
-    // inside the transmitter's range throughout.
-    Radio rx(medium, wire::MacAddress(2), [&sim] {
-      return Position{95.0 + 50.0 * to_seconds(sim.now()), 50.0};
+    // Starts in cell 0 and leaves its bucket box — cell 0 grown by the
+    // hysteresis slack — at t = 0.1 s, while staying well inside the
+    // transmitter's range throughout.
+    const double exit_x = medium.grid_cell_m() + medium.grid_slack_m();
+    const double speed = 15.0 * medium.grid_slack_m();  // per second
+    Radio rx(medium, wire::MacAddress(2), [&sim, exit_x, speed] {
+      return Position{exit_x + speed * (to_seconds(sim.now()) - 0.1), 50.0};
     });
     int received = 0;
     rx.set_receiver([&received](const wire::Frame&) { ++received; });
@@ -585,6 +522,97 @@ TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
       EXPECT_GT(medium.grid_rebuckets(), 0u);
     }
   }
+}
+
+// A mobile driving exactly along a cell edge (y = cell) would, without
+// hysteresis, sit at distance zero from the edge of its bucket box, and
+// every transmit anywhere on its channel would re-sample it. The slack
+// puts the box edge `slack` past the cell edge: the declared speed bounds
+// how soon the rider can leave, and the position callback runs about once
+// per slack / speed of sim time however many frames the channel carries. A far transmitter (two
+// cell rows away, never in range of the rider) drives the sweep; the rider
+// also sends a few frames of its own to a stationary listener by its road.
+struct RiderRun {
+  std::string log;
+  int rider_position_calls = 0;
+  std::uint64_t rebuckets = 0;
+};
+
+RiderRun run_boundary_rider(NeighborIndex mode, int frames, Time horizon) {
+  sim::Simulator sim;
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(29),
+                indexed(mode));
+  const double cell = medium.grid_cell_m();
+  constexpr double kSpeed = 10.0;
+  RiderRun run;
+  RadioConfig stationary;
+  stationary.mobile = false;
+  RadioConfig bounded;
+  bounded.max_speed_mps = kSpeed;
+  // Crosses the x = cell edge at t = 2 s, riding y = cell throughout.
+  Radio rider(
+      medium, wire::MacAddress(1),
+      [&sim, &run, cell] {
+        ++run.rider_position_calls;
+        return Position{cell - 20.0 + kSpeed * to_seconds(sim.now()), cell};
+      },
+      bounded);
+  Radio listener(medium, wire::MacAddress(2),
+                 [cell] { return Position{cell, cell + 30.0}; }, stationary);
+  Radio far_tx(medium, wire::MacAddress(3),
+               [cell] { return Position{cell, 3.5 * cell}; }, stationary);
+  Radio far_rx(medium, wire::MacAddress(4),
+               [cell] { return Position{cell + 40.0, 3.5 * cell}; },
+               stationary);
+  Radio* radios[] = {&rider, &listener, &far_tx, &far_rx};
+  for (int i = 0; i < 4; ++i) {
+    radios[i]->set_receiver([&run, i, &sim](const wire::Frame& f) {
+      run.log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
+                 ":" + std::to_string(f.src.raw()) + ";";
+    });
+    radios[i]->tune(6);
+  }
+  const Time gap = horizon / frames;
+  for (int i = 0; i < frames; ++i) {
+    sim.post(gap * i, [&far_tx] {
+      wire::Frame f = broadcast_frame();
+      f.src = wire::MacAddress(3);
+      far_tx.send(f);
+    });
+  }
+  for (int i = 0; i < 4; ++i) {
+    sim.post(horizon / 4 * i + msec(1), [&rider] {
+      wire::Frame f = broadcast_frame();
+      f.src = wire::MacAddress(1);
+      rider.send(f);
+    });
+  }
+  sim.run_until(horizon + msec(100));
+  run.rebuckets = medium.grid_rebuckets();
+  return run;
+}
+
+TEST(SpatialIndexProperty, BoundaryRiderSamplingScalesWithDistanceNotFrames) {
+  const Time horizon = sec(4);
+  const RiderRun sparse =
+      run_boundary_rider(NeighborIndex::kGrid, 500, horizon);
+  const RiderRun dense =
+      run_boundary_rider(NeighborIndex::kGrid, 4000, horizon);
+  const RiderRun oracle =
+      run_boundary_rider(NeighborIndex::kBruteForce, 4000, horizon);
+  EXPECT_EQ(dense.log, oracle.log);
+  EXPECT_FALSE(dense.log.empty());
+  // Sweep samples: about sim time x speed / slack = 4 s x 10 m/s / 10 m
+  // (each horizon is a hair under slack / speed), budgeted at twice that.
+  // Fixed extras: attach, tune, and the rider's own 4 sends.
+  const int sweep_budget = 2 * 4;
+  EXPECT_LE(dense.rider_position_calls, 2 + 4 + sweep_budget);
+  EXPECT_EQ(dense.rider_position_calls, sparse.rider_position_calls)
+      << "sampling grew with the frame count";
+  // Brute force samples every cohort member per transmit.
+  EXPECT_GT(oracle.rider_position_calls, 4000 * 9 / 10);
+  // Leaves cell 0's grown box (x >= cell + slack) at t = 3 s.
+  EXPECT_EQ(dense.rebuckets, 1u);
 }
 
 TEST(SpatialIndexProperty, StationaryWorldNeverRebuckets) {
@@ -658,16 +686,17 @@ TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
 TEST(SpatialIndexConfig, CellSizeClampsUpToPropagationRange) {
   sim::Simulator sim;
   MediumConfig mc;
-  mc.grid_cell_m = 10.0;  // below range: unsound, must clamp up
+  mc.grid_cell_m = 10.0;  // below range + slack: unsound, must clamp up
   Medium clamped(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 100.0);
+  EXPECT_DOUBLE_EQ(clamped.grid_slack_m(), 10.0);
+  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 110.0);
 
-  mc.grid_cell_m = 250.0;  // above range: honored (coarser is always sound)
+  mc.grid_cell_m = 250.0;  // above range + slack: honored (coarser is sound)
   Medium coarse(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
   EXPECT_DOUBLE_EQ(coarse.grid_cell_m(), 250.0);
 
   Medium derived(sim, Propagation(lossless_config(100.0)), Rng(1));
-  EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 100.0);
+  EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 110.0);
   EXPECT_EQ(derived.config().neighbor_index, NeighborIndex::kGrid);
 }
 

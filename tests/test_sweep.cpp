@@ -294,35 +294,6 @@ TEST(SweepRunner, ParallelRunMatchesSerialByteForByte) {
   }
 }
 
-// kAuto flips between the grid and brute-force paths per transmit, but the
-// pick is a pure cost decision: every digest must match a serial kAuto run
-// across worker counts *and* the fixed-mode digests of the same scenarios.
-TEST(SweepRunner, AutoNeighborIndexDigestsPinnedAcrossJobs) {
-  auto configs = small_sweep();
-  for (auto& cfg : configs) cfg.neighbor_index = phy::NeighborIndex::kAuto;
-
-  std::vector<std::string> serial;
-  for (const auto& cfg : configs) {
-    serial.push_back(digest(trace::run_scenario(cfg)));
-  }
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    auto cfg = configs[i];
-    cfg.neighbor_index = phy::NeighborIndex::kGrid;
-    EXPECT_EQ(digest(trace::run_scenario(cfg)), serial[i]) << "grid " << i;
-    cfg.neighbor_index = phy::NeighborIndex::kBruteForce;
-    EXPECT_EQ(digest(trace::run_scenario(cfg)), serial[i]) << "brute " << i;
-  }
-
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    const auto results = trace::SweepRunner({.jobs = jobs}).run(configs);
-    ASSERT_EQ(results.size(), configs.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(digest(results[i]), serial[i])
-          << "jobs=" << jobs << " config " << i;
-    }
-  }
-}
-
 TEST(SweepRunner, RunAveragedMatchesSerialAveraging) {
   auto configs = small_sweep();
   configs.resize(2);
