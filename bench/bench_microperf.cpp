@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string_view>
+#include <vector>
 
 #include "core/link_manager.hpp"
 #include "core/spider_driver.hpp"
@@ -16,6 +17,7 @@
 #include "trace/experiment.hpp"
 #include "trace/sweep.hpp"
 #include "trace/testbed.hpp"
+#include "util/random.hpp"
 
 using namespace spider;
 
@@ -83,6 +85,49 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.counters["heap_peak"] = static_cast<double>(q.perf().heap_peak);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
+
+void BM_EventQueueWorkloadMix(benchmark::State& state) {
+  // Hold model (pop one, push one) at city-fleet's live depth, with delays
+  // drawn from the histogram of pushes the full stack makes: frame
+  // deliveries, wired hops, TCP/slot timers, then beacons and protocol
+  // timers. The first three bands land in the queue's near tier, the last
+  // two in its far tier.
+  struct Band {
+    double share;
+    std::int64_t lo_us, hi_us;
+  };
+  constexpr std::array<Band, 5> kBands{{{0.50, 128, 512},
+                                        {0.20, 1000, 2000},
+                                        {0.10, 8000, 16000},
+                                        {0.15, 64000, 128000},
+                                        {0.05, 100000, 1000000}}};
+  constexpr std::size_t kDepth = 7000;
+  Rng rng(1);
+  std::vector<std::int64_t> delays(1 << 16);
+  for (auto& d : delays) {
+    double u = rng.uniform(0, 1);
+    const Band* band = &kBands.back();
+    for (const Band& b : kBands) {
+      if (u < b.share) {
+        band = &b;
+        break;
+      }
+      u -= b.share;
+    }
+    d = rng.uniform_int(band->lo_us, band->hi_us);
+  }
+  sim::EventQueue q;
+  std::size_t next = 0;
+  const auto draw = [&] { return Time{delays[next++ & (delays.size() - 1)]}; };
+  for (std::size_t i = 0; i < kDepth; ++i) q.push_nocancel(draw(), [] {});
+  for (auto _ : state) {
+    const Time now = q.pop_and_run();
+    q.push_nocancel(now + draw(), [] {});
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["heap_peak"] = static_cast<double>(q.perf().heap_peak);
+}
+BENCHMARK(BM_EventQueueWorkloadMix);
 
 void BM_MediumBroadcast(benchmark::State& state) {
   sim::Simulator sim;

@@ -4,7 +4,8 @@
 # grid-vs-brute-force digest pin — which also asserts the grid wins on
 # wall-clock — the sharded-formation digest pin, the sim-as-a-service
 # robustness pin, the trace-replay re-ingest pin, and the faulted
-# shard-axis digest pin), then the shard engine and the differential
+# shard-axis digest pin), then the event engine's tests under
+# AddressSanitizer + UBSan, then the shard engine and the differential
 # fault fuzz under ThreadSanitizer. Everything a PR must keep green.
 #
 # Every ctest invocation carries a per-test timeout: the suite now
@@ -30,6 +31,17 @@ cmake --build "$BUILD_DIR" -j
 # must reproduce the serial engine's resilience digest (rerun determinism,
 # shards=1 identity, width-invariant fault counts).
 "$BUILD_DIR"/bench/ext_fault_resilience --shards 1,2,4 --assert-shards
+
+# Event engine under AddressSanitizer + UndefinedBehaviorSanitizer: the
+# event queue's near tier links its slot lists through slab indices, so an
+# out-of-bounds or stale index must fail the gate, not corrupt a run. A
+# dedicated tree builds only the engine's tests and the hot-path contract.
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "$ASAN_DIR" -S . -DSPIDER_SANITIZE=address,undefined
+cmake --build "$ASAN_DIR" -j --target test_sim test_sweep test_modelcheck test_perf_hotpath
+for t in test_sim test_sweep test_modelcheck test_perf_hotpath; do
+  UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR"/tests/$t
+done
 
 # Sharded engine under ThreadSanitizer: the lockstep coordinator, the
 # mailbox parity protocol, and the formation fabric must be data-race

@@ -61,8 +61,10 @@ std::string make_error_response(const std::string& id,
                                 double retry_after_ms = 0.0,
                                 const RunStats* partial = nullptr);
 /// Server-level rejections that never reached the runner: protocol errors
-/// ("invalid-request"), backpressure ("overloaded", with a retry_after_ms
-/// hint), and drain-mode refusals ("shutting-down").
+/// ("invalid-request"), request lines over the server's 1 MiB cap
+/// ("line-too-long", after which the server closes the connection),
+/// backpressure ("overloaded", with a retry_after_ms hint), and drain-mode
+/// refusals ("shutting-down").
 std::string make_reject_response(const std::string& id, const char* kind,
                                  const std::string& message,
                                  double retry_after_ms = 0.0);

@@ -17,6 +17,10 @@ namespace spider::serve {
 namespace {
 
 constexpr std::size_t kReadChunk = 4096;
+/// Longest request line a connection may send. A longer one is rejected
+/// with "line-too-long" and the connection is closed, so one client cannot
+/// grow the front thread's buffers without bound.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -186,8 +190,36 @@ void ScenarioServer::push_response(std::uint64_t conn_id, std::string line) {
 // Front thread: accept, read, parse, admit, write.
 // ---------------------------------------------------------------------------
 
+void ScenarioServer::read_lines(std::uint64_t conn_id, Connection& conn,
+                                const char* data, std::size_t n) {
+  // Between calls the inbox holds only an unterminated tail, so the search
+  // for newlines starts at the new bytes, and the consumed prefix is erased
+  // once per call rather than once per line.
+  std::size_t scan = conn.inbox.size();
+  conn.inbox.append(data, n);
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = conn.inbox.find('\n', scan)) != std::string::npos;
+       scan = start = nl + 1) {
+    std::string_view line(conn.inbox.data() + start, nl - start);
+    if (line.size() > kMaxLineBytes) break;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) handle_line(conn_id, conn, line);
+  }
+  if (conn.inbox.size() - start > kMaxLineBytes) {
+    count("serve.rejected_line_too_long");
+    conn.outbox += make_reject_response(
+        "", "line-too-long",
+        "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
+    conn.outbox += '\n';
+    conn.inbox.clear();
+    conn.closing = true;
+    return;
+  }
+  conn.inbox.erase(0, start);
+}
+
 void ScenarioServer::handle_line(std::uint64_t conn_id, Connection& conn,
-                                 const std::string& line) {
+                                 std::string_view line) {
   count("serve.requests");
   std::string parse_error;
   const std::optional<util::Json> json = util::Json::parse(line, &parse_error);
@@ -344,7 +376,7 @@ void ScenarioServer::front_loop() {
       fd_conn.push_back(0);
     }
     for (const auto& [conn_id, conn] : conns_) {
-      short events = POLLIN;
+      short events = conn.closing ? 0 : POLLIN;
       if (!conn.outbox.empty()) events |= POLLOUT;
       fds.push_back({conn.fd, events, 0});
       fd_conn.push_back(conn_id);
@@ -385,12 +417,12 @@ void ScenarioServer::front_loop() {
           (p.revents & POLLIN) == 0) {
         alive = false;
       }
-      if (alive && (p.revents & POLLIN) != 0) {
+      if (alive && !conn.closing && (p.revents & POLLIN) != 0) {
         char buf[kReadChunk];
-        for (;;) {
+        while (!conn.closing) {
           const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
           if (n > 0) {
-            conn.inbox.append(buf, static_cast<std::size_t>(n));
+            read_lines(conn_id, conn, buf, static_cast<std::size_t>(n));
             continue;
           }
           if (n == 0) alive = false;  // orderly EOF
@@ -400,17 +432,11 @@ void ScenarioServer::front_loop() {
           }
           break;
         }
-        std::size_t nl;
-        while ((nl = conn.inbox.find('\n')) != std::string::npos) {
-          std::string line = conn.inbox.substr(0, nl);
-          conn.inbox.erase(0, nl + 1);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          if (!line.empty()) handle_line(conn_id, conn, line);
-        }
       }
       if (alive && (p.revents & POLLOUT) != 0) {
         alive = flush_some(conn.fd, conn.outbox);
       }
+      if (conn.closing && conn.outbox.empty()) alive = false;
       if (!alive) dead.push_back(conn_id);
     }
     for (const std::uint64_t conn_id : dead) close_connection(conn_id);

@@ -100,16 +100,19 @@ class ScenarioServer {
 
   struct Connection {
     int fd = -1;
-    std::string inbox;
+    std::string inbox;  ///< unterminated input tail, at most kMaxLineBytes
     std::string outbox;
+    bool closing = false;  ///< input ignored; close once outbox is flushed
   };
 
   void front_loop();
   void worker_loop();
   void watchdog_loop();
 
+  void read_lines(std::uint64_t conn_id, Connection& conn, const char* data,
+                  std::size_t n);
   void handle_line(std::uint64_t conn_id, Connection& conn,
-                   const std::string& line);
+                   std::string_view line);
   void close_connection(std::uint64_t conn_id);
   void push_response(std::uint64_t conn_id, std::string line);
   void wake_front();

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,7 +26,7 @@ namespace detail {
 /// within one).
 struct QueueShared {
   EventQueue* queue;                  ///< null once the queue is destroyed
-  std::size_t cancelled_in_heap = 0;  ///< dead entries still in the heap
+  std::size_t cancelled_queued = 0;   ///< dead entries still queued
   std::uint64_t cancelled_total = 0;  ///< lifetime cancellations
   std::uint32_t refs = 1;             ///< queue + live handles
 
@@ -44,10 +46,10 @@ struct QueueShared {
 /// cancellation flag lives in the queue's payload slab, and the sequence
 /// number distinguishes this event from any later tenant of the same cell.
 ///
-/// Cancellation is O(1): the entry stays in the heap but is marked dead,
-/// and the queue's live count is decremented immediately — the timer-heavy
+/// Cancellation is O(1): the entry stays queued but is marked dead, and
+/// the queue's live count is decremented immediately — the timer-heavy
 /// MAC/DHCP state machines cancel far more timers than ever fire. The
-/// queue compacts itself when dead entries dominate, so deep-in-heap
+/// queue compacts itself when dead entries dominate, so deeply queued
 /// cancellations cannot accumulate unboundedly. Cancelling after the event
 /// fired (or after the queue died) is a safe no-op.
 ///
@@ -78,7 +80,7 @@ class EventHandle {
   void cancel();
   bool valid() const { return shared_ != nullptr; }
   /// True while the event is scheduled and has been cancelled; false once
-  /// the event fired or its entry left the heap.
+  /// the event fired or its entry left the queue.
   bool cancelled() const;
 
  private:
@@ -92,11 +94,18 @@ class EventHandle {
 /// that same-timestamp events run FIFO — this makes frame delivery and
 /// timer interleavings deterministic.
 ///
-/// Layout (see DESIGN.md §8): the binary heap itself holds only 24-byte
-/// POD keys {when, seq, payload index}; callbacks live in a free-listed
-/// slab beside it. Heap sifts therefore move trivially copyable keys, and
-/// each callback is relocated exactly once (slab → stack on pop) instead
-/// of O(log n) times through the sift path.
+/// Layout (see DESIGN.md §8): two tiers in front of one free-listed
+/// payload slab that holds the callbacks.
+///  - The near tier is a wheel of kWheelSlots one-microsecond slots that
+///    covers [base, base + kWheelSpan), where base is the latest timestamp
+///    popped so far. Each slot holds one timestamp; its entries form a FIFO
+///    ring linked through the slab, and an occupancy bitmap finds the next
+///    non-empty slot. Push and pop are O(1).
+///  - The far tier is a binary heap of 24-byte POD keys {when, seq, payload
+///    index} for everything else: far timers, and pushes earlier than base.
+/// Pop takes the smaller (when, seq) of the two fronts, so dispatch order
+/// is exactly the order of one heap over every entry. Each callback is
+/// relocated exactly once (slab → stack on pop).
 class EventQueue {
  public:
   /// Inline-capacity budget for scheduled callbacks. Large enough for every
@@ -106,6 +115,12 @@ class EventQueue {
   /// silently re-introducing per-event mallocs.
   static constexpr std::size_t kCallbackCapacity = 64;
   using Callback = util::InlineFunction<kCallbackCapacity>;
+
+  /// Near-tier width: 2^14 one-microsecond slots, i.e. 16.384 ms. Covers
+  /// frame deliveries, wired hops, the 10 ms backhaul delay and the
+  /// 8–16 ms timers: 80–91% of the pushes the stack makes.
+  static constexpr std::uint32_t kWheelSlots = 1u << 14;
+  static constexpr Time kWheelSpan{kWheelSlots};
 
   EventQueue();
   ~EventQueue();
@@ -127,14 +142,14 @@ class EventQueue {
 
   /// True if no live (non-cancelled) event remains.
   bool empty() const {
-    drop_cancelled();
-    return heap_.empty();
+    Front f;
+    return !live_front(f);
   }
 
   /// Timestamp of the earliest live event; Time::max() when empty.
   Time next_time() const {
-    drop_cancelled();
-    return heap_.empty() ? Time::max() : heap_.front().when;
+    Front f;
+    return live_front(f) ? f.when : Time::max();
   }
 
   /// Pops and runs the earliest live event, returning its timestamp. The
@@ -147,7 +162,7 @@ class EventQueue {
   /// if a live event exists with timestamp <= deadline, stores its
   /// timestamp in `clock` *before* running it (so the callback observes the
   /// advanced clock) and returns true; otherwise runs nothing and returns
-  /// false. One front-of-heap inspection per event instead of three.
+  /// false. One front inspection per event instead of three.
   bool pop_and_run_until(Time deadline, Time& clock);
 
   void clear();
@@ -155,10 +170,11 @@ class EventQueue {
   /// Number of scheduled, not-yet-cancelled events (exact — cancellation
   /// is accounted for immediately, not when the entry is lazily dropped).
   std::size_t live_size() const {
-    return heap_.size() - shared_->cancelled_in_heap;
+    return heap_size() - shared_->cancelled_queued;
   }
-  /// Physical heap size including dead (cancelled, undropped) entries.
-  std::size_t heap_size() const { return heap_.size(); }
+  /// Physical size of both tiers, including dead (cancelled, undropped)
+  /// entries.
+  std::size_t heap_size() const { return heap_.size() + wheel_size_; }
 
   /// Lifetime engine counters (wall-clock fields are left zero; callers
   /// timing a run fill those themselves).
@@ -167,7 +183,7 @@ class EventQueue {
  private:
   friend class EventHandle;
 
-  /// Heap key: trivially copyable so sift operations are plain memmoves.
+  /// Far-tier key: trivially copyable so sift operations are plain memmoves.
   struct Entry {
     Time when;
     std::uint64_t seq;
@@ -183,17 +199,39 @@ class EventQueue {
   /// reset to kStaleSeq on release, so a handle whose seq no longer matches
   /// knows its event is gone regardless of who occupies the cell now.
   static constexpr std::uint64_t kStaleSeq = ~std::uint64_t{0};
+  /// An empty slot's tail (and "not a wheel entry" in Front::slot).
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   struct Payload {
     Callback cb;
     std::uint64_t seq = kStaleSeq;  ///< seq of the occupying entry
     bool cancelled = false;
+    std::uint32_t next = kNil;  ///< next entry in the same wheel slot's ring
+  };
+  static_assert(sizeof(Payload) == sizeof(Callback) + 16,
+                "the wheel link must fit in the padding after `cancelled`");
+
+  /// A wheel entry's timestamp is implied by its slot: slot = when mod
+  /// kWheelSlots, and every wheel entry lies in [base_, base_ + kWheelSpan).
+  /// A slot stores only its tail (kNil when empty); the tail's `next` closes
+  /// the ring back to the head, so the slot array is 4 bytes per slot.
+  static constexpr std::uint32_t kWheelMask = kWheelSlots - 1;
+  static constexpr std::uint32_t kWords = kWheelSlots / 64;
+  static constexpr std::uint32_t kSummaryWords = (kWords + 63) / 64;
+  static std::uint32_t slot_of(Time when) {
+    return static_cast<std::uint32_t>(when.count()) & kWheelMask;
+  }
+
+  /// The earliest queued entry of both tiers (possibly dead).
+  struct Front {
+    Time when;
+    std::uint32_t payload;
+    std::uint32_t slot;  ///< wheel slot, or kNil for the heap top
   };
 
   /// Below this size a rebuild costs more bookkeeping than the dead
-  /// entries it would reclaim; lazy top-dropping handles small heaps fine.
+  /// entries it would reclaim; lazy front-dropping handles small queues.
   static constexpr std::size_t kCompactionFloor = 64;
 
-  bool entry_dead(const Entry& e) const { return payloads_[e.payload].cancelled; }
   /// Schedules the callback and returns its slab index (seq stamped).
   std::uint32_t push_entry(Time when, Callback&& cb) {
     if (cb.heap_allocated()) ++callbacks_heap_;
@@ -210,26 +248,75 @@ class EventQueue {
       index = static_cast<std::uint32_t>(payloads_.size());
       payloads_.push_back(Payload{std::move(cb), seq, false});
     }
-    heap_.push_back(Entry{when, seq, index});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    if (heap_.size() > heap_peak_) heap_peak_ = heap_.size();
+    if (when >= base_ && when - base_ < kWheelSpan) {
+      wheel_append(slot_of(when), index);
+    } else {
+      heap_.push_back(Entry{when, seq, index});
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+    if (heap_size() > heap_peak_) heap_peak_ = heap_size();
     maybe_compact();
     return index;
   }
+  void wheel_append(std::uint32_t slot, std::uint32_t index) {
+    std::uint32_t& tail = tails_[slot];
+    if (tail == kNil) {
+      payloads_[index].next = index;
+      occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+      summary_[slot >> 12] |= std::uint64_t{1} << ((slot >> 6) & 63);
+    } else {
+      payloads_[index].next = payloads_[tail].next;
+      payloads_[tail].next = index;
+    }
+    tail = index;
+    ++wheel_size_;
+  }
+  /// First occupied wheel slot at or after base_'s, wrapping around the
+  /// ring. Precondition: wheel_size_ > 0.
+  std::uint32_t wheel_front_slot() const;
+  /// The earliest entry of both tiers, dead or alive; false when empty.
+  bool any_front(Front& f) const {
+    bool found = false;
+    if (wheel_size_ != 0) {
+      const std::uint32_t slot = wheel_front_slot();
+      f.when = base_ + Time{(slot - slot_of(base_)) & kWheelMask};
+      f.payload = payloads_[tails_[slot]].next;  // the ring's head
+      f.slot = slot;
+      found = true;
+    }
+    if (!heap_.empty()) {
+      const Entry& top = heap_.front();
+      if (!found || top.when < f.when ||
+          (top.when == f.when && top.seq < payloads_[f.payload].seq)) {
+        f = Front{top.when, top.payload, kNil};
+        found = true;
+      }
+    }
+    return found;
+  }
+  /// The earliest live entry; dead entries ahead of it are dropped.
+  bool live_front(Front& f) const {
+    while (any_front(f)) {
+      if (!payloads_[f.payload].cancelled) return true;
+      unlink_front(f);
+      release_payload(f.payload);
+      --shared_->cancelled_queued;
+    }
+    return false;
+  }
+  /// Removes `f` (the current any_front()) from its tier.
+  void unlink_front(const Front& f) const;
+  /// Moves the front's callback out of the slab, recycles its cell and
+  /// advances base_; the caller runs the callback.
+  Callback take_front(const Front& f);
   /// Disengages a payload cell and recycles its index.
   void release_payload(std::uint32_t index) const;
-  // Inline fast checks with out-of-line slow paths: these run on every
-  // push/pop, and almost always decide "nothing to do".
-  void drop_cancelled() const {
-    if (!heap_.empty() && entry_dead(heap_.front())) drop_cancelled_slow();
-  }
   void maybe_compact() {
-    if (heap_.size() >= kCompactionFloor &&
-        shared_->cancelled_in_heap * 2 > heap_.size()) {
+    if (heap_size() >= kCompactionFloor &&
+        shared_->cancelled_queued * 2 > heap_size()) {
       compact();
     }
   }
-  void drop_cancelled_slow() const;
   void compact();
 
   /// EventHandle entry points (bounds-checked: clear() may have shrunk the
@@ -240,22 +327,29 @@ class EventQueue {
     if (p.seq != seq || p.cancelled) return;  // fired, recycled, or repeated
     p.cancelled = true;
     ++shared_->cancelled_total;
-    ++shared_->cancelled_in_heap;
+    ++shared_->cancelled_queued;
   }
   bool event_cancelled(std::uint32_t payload, std::uint64_t seq) const {
     return payload < payloads_.size() && payloads_[payload].seq == seq &&
            payloads_[payload].cancelled;
   }
 
-  // The heap is a plain vector managed with std::push_heap/pop_heap so the
-  // top entry can be inspected/removed and dead entries can be compacted in
-  // place (std::priority_queue exposes neither).
+  // The far tier is a plain vector managed with std::push_heap/pop_heap so
+  // the top entry can be inspected/removed and dead entries can be
+  // compacted in place (std::priority_queue exposes neither).
   mutable std::vector<Entry> heap_;
   mutable std::vector<Payload> payloads_;
   mutable std::vector<std::uint32_t> free_payloads_;
+  // Near tier: slot ring tails (allocated once, kWheelSlots long), a bit
+  // per occupied slot, and a bit per non-zero occupied_ word.
+  std::unique_ptr<std::uint32_t[]> tails_;
+  mutable std::array<std::uint64_t, kWords> occupied_{};
+  mutable std::array<std::uint64_t, kSummaryWords> summary_{};
+  mutable std::size_t wheel_size_ = 0;
+  Time base_{0};  ///< latest timestamp popped; only moves forward
   std::uint64_t next_seq_ = 0;
   detail::QueueShared* shared_;
-  mutable std::uint64_t popped_ = 0;
+  std::uint64_t popped_ = 0;
   std::uint64_t compactions_ = 0;
   std::size_t heap_peak_ = 0;
   std::uint64_t handles_allocated_ = 0;

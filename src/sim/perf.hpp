@@ -16,8 +16,8 @@ namespace spider::sim {
 struct PerfCounters {
   std::uint64_t events_popped = 0;     ///< callbacks actually dispatched
   std::uint64_t events_cancelled = 0;  ///< handles cancelled before firing
-  std::size_t heap_peak = 0;           ///< max physical heap size observed
-  std::uint64_t compactions = 0;       ///< cancelled-entry heap rebuilds
+  std::size_t heap_peak = 0;           ///< max physical queue size observed
+  std::uint64_t compactions = 0;       ///< cancelled-entry queue sweeps
 
   // --- hot-path allocation accounting --------------------------------
   /// Cancellable schedules (EventHandles issued). Handles index the queue's

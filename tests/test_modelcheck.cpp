@@ -71,6 +71,75 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   EXPECT_TRUE(reference.empty());
 }
 
+TEST_P(EventQueueModel, MatchesReferenceAcrossWheelHorizon) {
+  // Same reference, but times straddle the near tier's window
+  // [base, base + span), where base is the latest popped timestamp: pushes
+  // inside it, on both edges of its end, up to 4 spans beyond it, and
+  // before it. Cancels draw from every live event, so both tiers lose
+  // entries, and enough of them to trigger compaction.
+  Rng rng(GetParam());
+  sim::EventQueue queue;
+  const std::int64_t span = sim::EventQueue::kWheelSpan.count();
+  std::multimap<std::pair<std::int64_t, int>, int> reference;
+  std::vector<std::pair<int, sim::EventHandle>> live;
+  std::vector<int> fired, expected;
+  int next_id = 0, next_seq = 0;
+  std::int64_t base = 0;
+
+  const auto pop_one = [&] {
+    const Time when = queue.pop_and_run();
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(when.count(), reference.begin()->first.first);
+    base = std::max(base, when.count());
+    const int id = reference.begin()->second;
+    expected.push_back(id);
+    reference.erase(reference.begin());
+    std::erase_if(live, [id](const auto& e) { return e.first == id; });
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const double dice = rng.uniform(0, 1);
+    if (dice < 0.5) {
+      std::int64_t when = 0;
+      switch (rng.uniform_int(0, 6)) {
+        case 0: when = base + span - 1; break;  // last near slot
+        case 1: when = base + span; break;      // first far time
+        case 2: when = base; break;             // ties the last pop
+        case 3: when = base - rng.uniform_int(1, span); break;  // past
+        case 4: when = base + rng.uniform_int(span, 4 * span); break;
+        default: when = base + rng.uniform_int(0, span - 1); break;
+      }
+      const int id = next_id++;
+      auto handle =
+          queue.push(Time{when}, [&fired, id] { fired.push_back(id); });
+      reference.emplace(std::make_pair(when, next_seq++), id);
+      live.emplace_back(id, handle);
+    } else if (dice < 0.75 && !live.empty()) {
+      const auto idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      live[idx].second.cancel();
+      for (auto it = reference.begin(); it != reference.end(); ++it) {
+        if (it->second == live[idx].first) {
+          reference.erase(it);
+          break;
+        }
+      }
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (!queue.empty()) {
+      pop_one();
+    }
+    ASSERT_EQ(queue.live_size(), reference.size());
+    ASSERT_EQ(queue.next_time().count(),
+              reference.empty() ? Time::max().count()
+                                : reference.begin()->first.first);
+  }
+  while (!queue.empty()) pop_one();
+  EXPECT_EQ(fired, expected);
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GE(base, 4 * span);
+  EXPECT_GE(queue.perf().compactions, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModel,
                          ::testing::Range<std::uint64_t>(1, 13));
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -646,6 +649,76 @@ TEST(Server, DisconnectCancelsThatClientsRuns) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_TRUE(cancelled);
+}
+
+TEST(Server, OversizedLineIsRejectedAndClosed) {
+  TestServer ts(basic_config());
+  LineClient bystander = ts.connect();
+
+  // A raw connection that streams 2 MiB with no newline. The server stops
+  // reading at its 1 MiB cap, so the tail of the send only ends when the
+  // server closes the connection (or the send timeout fails the test).
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string& path = ts.server.config().socket_path;
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  const timeval send_timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
+  const std::string blob(std::size_t{2} << 20, 'x');
+  std::size_t sent = 0;
+  while (sent < blob.size()) {
+    const ssize_t n =
+        ::send(fd, blob.data() + sent, blob.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_LT(sent, blob.size());  // the server hung up mid-line
+
+  // The rejection arrives, then end of stream.
+  std::string received;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::size_t nl = received.find('\n');
+  ASSERT_NE(nl, std::string::npos) << received;
+  EXPECT_EQ(received.size(), nl + 1);
+  const std::optional<util::Json> reject =
+      util::Json::parse(received.substr(0, nl));
+  ASSERT_TRUE(reject.has_value());
+  EXPECT_EQ(error_kind(*reject), "line-too-long");
+  EXPECT_EQ(ts.server.metrics_snapshot().value("serve.rejected_line_too_long"),
+            1.0);
+
+  EXPECT_TRUE(rpc(bystander, R"({"op":"ping","id":"bystander"})")
+                  .find("pong") != nullptr);
+}
+
+TEST(Server, PipelinedPingsAnswerInOrder) {
+  TestServer ts(basic_config());
+  LineClient client = ts.connect();
+  constexpr int kPings = 10000;
+  std::string batch;
+  for (int i = 0; i < kPings; ++i) {
+    if (i > 0) batch += '\n';
+    batch += R"({"op":"ping","id":"p)" + std::to_string(i) + R"("})";
+  }
+  ASSERT_TRUE(client.send_line(batch));  // one write, newline-terminated
+  for (int i = 0; i < kPings; ++i) {
+    const std::optional<std::string> line = client.recv_line(30000.0);
+    ASSERT_TRUE(line.has_value()) << "missing pong " << i;
+    const std::optional<util::Json> pong = util::Json::parse(*line);
+    ASSERT_TRUE(pong.has_value()) << *line;
+    const util::Json* id = pong->find("id");
+    ASSERT_NE(id, nullptr);
+    ASSERT_EQ(id->string_or(""), "p" + std::to_string(i));
+  }
 }
 
 // ---------------------------------------------------------------------------

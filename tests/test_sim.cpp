@@ -69,6 +69,21 @@ TEST(EventQueue, CallbackMayScheduleMore) {
   EXPECT_EQ(depth, 5);
 }
 
+TEST(EventQueue, TieSplitAcrossTiersRunsInSeqOrder) {
+  // A is pushed while T is beyond the near-tier window, so it waits in the
+  // far tier. Once the window has slid over T, B lands in the near tier at
+  // the same timestamp. A was pushed first, so it must run first.
+  EventQueue q;
+  std::vector<char> order;
+  const Time t = EventQueue::kWheelSpan + usec(100);
+  q.push(t, [&] { order.push_back('A'); });
+  q.push(usec(1000), [&] { order.push_back('.'); });
+  EXPECT_EQ(q.pop_and_run(), usec(1000));  // window is now [1000, 1000 + span)
+  q.push(t, [&] { order.push_back('B'); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<char>{'.', 'A', 'B'}));
+}
+
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator s;
   Time seen{0};
