@@ -5,6 +5,8 @@
 // paper's experimental constants (§4.1) so individual benches only override
 // what their experiment sweeps.
 
+#include <sched.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -296,6 +298,20 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
 #ifndef SPIDER_BUILD_TYPE
 #define SPIDER_BUILD_TYPE "unknown"
 #endif
+
+/// CPUs this process may run on (its affinity mask) — what a sharded
+/// formation's threads can actually use. hardware_concurrency() counts
+/// every online CPU, including ones a cgroup cpuset or taskset fenced off.
+inline unsigned usable_cores() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
 
 /// Host block for BENCH_*.json files: a recorded rate means nothing
 /// without the machine and build that produced it. Returns a JSON object:

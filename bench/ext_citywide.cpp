@@ -20,19 +20,21 @@
 // a noise tolerance — the regression guard for the grid hot path.
 //
 // --shards LIST (e.g. --shards 1,2,4) appends the intra-run parallelism
-// axis (DESIGN.md §12): the heaviest cell of the mode runs once serially,
-// then twice per listed shard count. Each shard count must reproduce its
-// own digest exactly, and shards=1 must match the serial engine byte for
-// byte. Speedups are host-dependent and go to the JSON and stderr only;
-// --assert-shards turns the 4-shard speedup floor (>= 1.5x smoke, >= 2x
-// full) into a hard failure when the host has enough cores to express it.
+// axis (DESIGN.md §12): the heaviest cell of the mode runs in seven rounds,
+// each one serial run followed by one run per listed shard count. Each
+// shard count must reproduce its own digest exactly in every round, and
+// shards=1 must match the serial engine byte for byte. A width's speedup
+// is the median over rounds of serial wall / sharded wall. Speedups and
+// each shard's busy/wait/drain split are host-dependent and go to the JSON
+// and stderr only; --assert-shards turns the 4-shard speedup floor
+// (>= 1.5x smoke, >= 2x full) into a hard failure when the process's
+// affinity mask holds enough CPUs to express it.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -80,6 +82,45 @@ std::string digest(const trace::ScenarioResult& r) {
                 r.joins_attempted, r.e2e_succeeded,
                 static_cast<unsigned long long>(r.switches), r.connectivity);
   return buf;
+}
+
+constexpr const char* kShardPhases[] = {"busy_s", "wait_s", "drain_s"};
+
+/// One phase of each shard's wall-clock split (ShardedSimulator::
+/// shard_time, exported as shard.<s>.<phase> metrics), in shard order
+/// joined by `sep`; empty for a serial run.
+std::string shard_phase_list(const trace::ScenarioResult& r,
+                             const char* phase, const char* sep) {
+  std::string out;
+  char buf[32];
+  for (int s = 0;; ++s) {
+    const std::string name = "shard." + std::to_string(s) + "." + phase;
+    if (!r.metrics.contains(name)) return out;
+    std::snprintf(buf, sizeof buf, "%s%.4f", s == 0 ? "" : sep,
+                  r.metrics.value(name));
+    out += buf;
+  }
+}
+
+/// "; busy_s 0.1012/0.0981 wait_s ... drain_s ..." for stderr diagnostics.
+std::string shard_time_split(const trace::ScenarioResult& r) {
+  std::string out;
+  for (const char* phase : kShardPhases) {
+    const std::string list = shard_phase_list(r, phase, "/");
+    if (list.empty()) return "";
+    out += std::string(out.empty() ? ";" : "") + " " + phase + " " + list;
+  }
+  return out;
+}
+
+/// "\"busy_s\": [..], \"wait_s\": [..], \"drain_s\": [..]" for the JSON.
+std::string shard_time_json(const trace::ScenarioResult& r) {
+  std::string out;
+  for (const char* phase : kShardPhases) {
+    out += std::string(out.empty() ? "" : ", ") + "\"" + phase + "\": [" +
+           shard_phase_list(r, phase, ", ") + "]";
+  }
+  return out;
 }
 
 double candidates_per_tx(const trace::ScenarioResult& r) {
@@ -241,45 +282,78 @@ int main(int argc, char** argv) {
   }
 
   // Intra-run parallelism axis (DESIGN.md §12): heaviest cell of the
-  // mode, one serial baseline, then two runs per shard count. Stdout gets
-  // only deterministic fields (bytes, joins, digest verdicts); wall-clock
-  // speedups go to stderr and the JSON.
+  // mode in kShardRounds rounds; each round runs the serial engine once,
+  // then every listed width once. Stdout gets only deterministic fields
+  // (bytes, joins, digest verdicts); wall-clock speedups go to stderr and
+  // the JSON.
   struct ShardRow {
     int shards = 1;
-    trace::ScenarioResult result;
-    double speedup = 1.0;
+    trace::ScenarioResult result;  ///< the median-speedup round's run
+    double speedup = 1.0;          ///< median over rounds
+    double speedup_lo = 1.0, speedup_hi = 1.0;
     bool deterministic = true;
     bool matches_serial = true;  // shards == 1 only: dispatch identity
   };
   std::vector<ShardRow> shard_rows;
   bool shards_ok = true;
-  double serial_wall = 0.0;
+  double serial_wall = 0.0;  // median over rounds
   if (!shard_counts.empty()) {
+    // One serial run against one sharded run is a lottery on a noisy
+    // host: the serial reference alone varies by ±20%. Each round's
+    // serial run is the reference for the same round's widths, and a
+    // width's speedup is the median of its per-round ratios.
+    constexpr int kShardRounds = 7;
     const Cell shard_cell = smoke ? Cell{1000, 64} : Cell{5000, 64};
     const trace::ScenarioConfig base_cfg =
         city_config(shard_cell, phy::NeighborIndex::kGrid, duration);
     auto serial_opts = cli.sweep;
     serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
     const trace::SweepRunner shard_runner(serial_opts);
-    const trace::ScenarioResult baseline = shard_runner.run({base_cfg})[0];
-    serial_wall = baseline.perf.wall_seconds;
+    std::vector<trace::ScenarioResult> serial_runs;
+    std::vector<std::vector<trace::ScenarioResult>> width_runs(
+        shard_counts.size());
+    for (int round = 0; round < kShardRounds; ++round) {
+      serial_runs.push_back(shard_runner.run({base_cfg})[0]);
+      for (std::size_t w = 0; w < shard_counts.size(); ++w) {
+        trace::ScenarioConfig cfg = base_cfg;
+        cfg.shards = shard_counts[w];
+        width_runs[w].push_back(shard_runner.run({cfg})[0]);
+      }
+    }
+    const trace::ScenarioResult& baseline = serial_runs[0];
+    std::vector<double> serial_walls;
+    for (const auto& r : serial_runs) {
+      serial_walls.push_back(r.perf.wall_seconds);
+    }
+    std::sort(serial_walls.begin(), serial_walls.end());
+    serial_wall = serial_walls[serial_walls.size() / 2];
 
     std::printf("\nshard axis at %zu APs x %d clients (serial %s)\n",
                 shard_cell.aps, shard_cell.clients, digest(baseline).c_str());
     TextTable shard_table(
         {"shards", "MB", "joins", "switches", "rerun", "vs serial"});
-    for (const int s : shard_counts) {
-      trace::ScenarioConfig cfg = base_cfg;
-      cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
+    for (std::size_t w = 0; w < shard_counts.size(); ++w) {
+      const int s = shard_counts[w];
+      const auto& runs = width_runs[w];
       ShardRow row;
       row.shards = s;
-      row.deterministic = digest(pair[0]) == digest(pair[1]);
-      row.matches_serial = s != 1 || digest(pair[0]) == digest(baseline);
-      row.speedup = pair[0].perf.wall_seconds > 0.0
-                        ? serial_wall / pair[0].perf.wall_seconds
-                        : 0.0;
-      row.result = pair[0];
+      std::size_t diverged = 0;
+      for (std::size_t i = 1; i < runs.size() && diverged == 0; ++i) {
+        if (digest(runs[i]) != digest(runs[0])) diverged = i;
+      }
+      row.deterministic = diverged == 0;
+      row.matches_serial = s != 1 || digest(runs[0]) == digest(baseline);
+      std::vector<std::pair<double, std::size_t>> ratios;
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        const double wall = runs[i].perf.wall_seconds;
+        ratios.push_back(
+            {wall > 0.0 ? serial_runs[i].perf.wall_seconds / wall : 0.0, i});
+      }
+      std::sort(ratios.begin(), ratios.end());
+      row.speedup = ratios[ratios.size() / 2].first;
+      row.speedup_lo = ratios.front().first;
+      row.speedup_hi = ratios.back().first;
+      row.result = runs[ratios[ratios.size() / 2].second];
       shards_ok = shards_ok && row.deterministic && row.matches_serial;
       shard_table.add_row(
           {std::to_string(s), TextTable::num(row.result.total_bytes / 1e6, 2),
@@ -290,25 +364,30 @@ int main(int argc, char** argv) {
                   : std::string("-")});
       if (!row.deterministic) {
         std::printf("SHARD RERUN DIVERGENCE at %d shards:\n  %s\n  %s\n", s,
-                    digest(pair[0]).c_str(), digest(pair[1]).c_str());
+                    digest(runs[0]).c_str(), digest(runs[diverged]).c_str());
       }
       if (!row.matches_serial) {
         std::printf("SHARDS=1 DIVERGED FROM SERIAL:\n  serial  %s\n"
                     "  shards1 %s\n",
-                    digest(baseline).c_str(), digest(pair[0]).c_str());
+                    digest(baseline).c_str(), digest(runs[0]).c_str());
       }
-      std::fprintf(stderr, "shards=%d: wall %.3fs, speedup %.2fx\n", s,
-                   row.result.perf.wall_seconds, row.speedup);
+      std::fprintf(stderr,
+                   "shards=%d: wall %.3fs, speedup %.2fx (median of %d "
+                   "rounds, %.2f-%.2fx)%s\n",
+                   s, row.result.perf.wall_seconds, row.speedup, kShardRounds,
+                   row.speedup_lo, row.speedup_hi,
+                   shard_time_split(row.result).c_str());
       shard_rows.push_back(std::move(row));
     }
     shard_table.print(std::cout);
     std::printf("shard digest checks: %s\n", shards_ok ? "PASS" : "FAIL");
 
-    // Speedup floor: only meaningful when the host can actually run the
-    // formation in parallel; single-core machines get the determinism
-    // checks and an informational note.
+    // Speedup floor: only meaningful when this process can actually run
+    // the formation in parallel — counted from its affinity mask, not the
+    // CPUs online. Narrower hosts get the determinism checks and an
+    // informational note.
     const double floor = smoke ? 1.5 : 2.0;
-    const unsigned cores = std::thread::hardware_concurrency();
+    const unsigned cores = bench::usable_cores();
     for (const ShardRow& row : shard_rows) {
       if (row.shards < 4) continue;
       if (cores < static_cast<unsigned>(row.shards)) {
@@ -319,8 +398,10 @@ int main(int argc, char** argv) {
       }
       if (row.speedup < floor) {
         std::fprintf(stderr,
-                     "SHARD SPEEDUP REGRESSION: %d shards %.2fx < %.1fx\n",
-                     row.shards, row.speedup, floor);
+                     "SHARD SPEEDUP REGRESSION: %d shards %.2fx < %.1fx "
+                     "(median of %d rounds)%s\n",
+                     row.shards, row.speedup, floor, kShardRounds,
+                     shard_time_split(row.result).c_str());
         if (assert_shards) shards_ok = false;
       }
     }
@@ -354,13 +435,16 @@ int main(int argc, char** argv) {
       std::fprintf(
           out,
           "    {\"shards\": %d, \"serial_wall_s\": %.3f, \"wall_s\": %.3f, "
-          "\"speedup\": %.2f, \"windows\": %.0f, \"messages\": %.0f, "
-          "\"migrations\": %.0f, \"deterministic\": %s, "
+          "\"speedup\": %.2f, \"speedup_min\": %.2f, \"speedup_max\": "
+          "%.2f, \"windows\": %.0f, \"messages\": %.0f, "
+          "\"migrations\": %.0f, %s, \"deterministic\": %s, "
           "\"matches_serial\": %s}%s\n",
           row.shards, serial_wall, row.result.perf.wall_seconds, row.speedup,
+          row.speedup_lo, row.speedup_hi,
           row.result.metrics.value("shard.windows"),
           row.result.metrics.value("shard.messages"),
           row.result.metrics.value("shard.migrations"),
+          shard_time_json(row.result).c_str(),
           row.deterministic ? "true" : "false",
           row.matches_serial ? "true" : "false",
           i + 1 == shard_rows.size() ? "" : ",");

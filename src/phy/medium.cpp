@@ -546,7 +546,7 @@ void Medium::transmit(Radio& sender, wire::Frame frame) {
       // shard(s) owning its channel stripe, via mailbox. The transmit is
       // counted here, where the radio lives, so frames_tx stays an exact
       // sum across the formation.
-      shard_link_->on_shadow_transmit(sender, frame, tx_pos,
+      shard_link_->on_shadow_transmit(sender, std::move(frame), tx_pos,
                                       sender.config().phy_rate);
       return;
     }

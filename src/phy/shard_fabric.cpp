@@ -68,6 +68,17 @@ int ShardPartition::stripe_owners(wire::Channel c, int* out) const {
   return n;
 }
 
+double ShardPartition::cut_distance(wire::Channel c, double x) const {
+  const auto it = stripes.find(c);
+  if (it == stripes.end()) return kInf;
+  double x0 = -kInf;
+  for (const ShardStripe& s : it->second) {
+    if (x < s.x1) return std::min(x - x0, s.x1 - x);
+    x0 = s.x1;
+  }
+  return kInf;  // unreachable: last stripe is +inf
+}
+
 bool ShardPartition::spatial() const {
   for (const auto& [c, v] : stripes) {
     if (v.size() > 1) return true;
@@ -210,38 +221,52 @@ void ShardFabric::Port::on_shadow_detach(Radio& radio) {
   if (it != fab->clients_.end()) it->second.radio = nullptr;
 }
 
-void ShardFabric::route_transmit(int from, bool skip_self,
-                                 wire::Channel channel, const Position& tx_pos,
-                                 Time t0, BitRate rate,
-                                 const wire::Frame& frame,
-                                 std::uint64_t exclude_gid) {
-  int out[kMaxShards];
-  const int n = partition_.targets(channel, tx_pos.x, out);
+int ShardFabric::route_targets(int from, bool skip_self, wire::Channel channel,
+                               double x, int* out) const {
+  int all[kMaxShards];
+  const int n = partition_.targets(channel, x, all);
+  int kept = 0;
   for (int i = 0; i < n; ++i) {
-    const int to = out[i];
-    if (skip_self && to == from) continue;
-    Medium* m = mediums_[static_cast<std::size_t>(to)];
-    bus_.send(from, to,
-              [m, channel, tx_pos, t0, rate, frame, exclude_gid]() mutable {
-                m->inject_shard_fanout(channel, tx_pos, t0, rate,
-                                       std::move(frame), exclude_gid);
-              });
+    if (!(skip_self && all[i] == from)) out[kept++] = all[i];
   }
+  return kept;
 }
 
-void ShardFabric::Port::on_shadow_transmit(Radio& sender,
-                                           const wire::Frame& frame,
+void ShardFabric::send_fanout(int from, int to, wire::Channel channel,
+                              const Position& tx_pos, Time t0, BitRate rate,
+                              wire::Frame frame, std::uint64_t exclude_gid) {
+  Medium* m = mediums_[static_cast<std::size_t>(to)];
+  auto apply = [m, channel, tx_pos, t0, rate, frame = std::move(frame),
+                exclude_gid]() mutable {
+    m->inject_shard_fanout(channel, tx_pos, t0, rate, std::move(frame),
+                           exclude_gid);
+  };
+  static_assert(sim::ShardedSimulator::Thunk::fits_inline<decltype(apply)>,
+                "the fan-out message must not allocate");
+  bus_.send(from, to, std::move(apply));
+}
+
+void ShardFabric::Port::on_shadow_transmit(Radio& sender, wire::Frame&& frame,
                                            const Position& tx_pos,
                                            BitRate rate) {
   // A shadow has no local phy presence: even its home shard's medium (when
   // it owns the stripe) receives the frame through the mailbox, so shard
   // placement never changes which path a frame takes. The sender's own
-  // proxy is excluded by gid, mirroring the local loop's sender skip.
-  fab->route_transmit(shard, /*skip_self=*/false, sender.channel(), tx_pos,
-                      fab->mediums_[static_cast<std::size_t>(shard)]
-                          ->simulator()
-                          .now(),
-                      rate, frame, sender.mac().raw());
+  // proxy is excluded by gid, mirroring the local loop's sender skip. The
+  // frame is ours: every target but the last gets a copy, the last takes
+  // it.
+  ShardFabric& f = *fab;
+  int out[kMaxShards];
+  const int n =
+      f.route_targets(shard, /*skip_self=*/false, sender.channel(), tx_pos.x,
+                      out);
+  const Time now =
+      f.mediums_[static_cast<std::size_t>(shard)]->simulator().now();
+  for (int i = 0; i < n; ++i) {
+    f.send_fanout(shard, out[i], sender.channel(), tx_pos, now, rate,
+                  i + 1 < n ? wire::Frame(frame) : std::move(frame),
+                  sender.mac().raw());
+  }
 }
 
 void ShardFabric::Port::on_native_transmit(wire::Channel channel,
@@ -252,12 +277,18 @@ void ShardFabric::Port::on_native_transmit(wire::Channel channel,
   // The local medium already fanned this frame out; only stripes of the
   // channel owned by *other* shards within the export margin need a mirror.
   // Single-stripe channels (the common case) fall straight through with
-  // zero sends.
-  fab->route_transmit(shard, /*skip_self=*/true, channel, tx_pos,
-                      fab->mediums_[static_cast<std::size_t>(shard)]
-                          ->simulator()
-                          .now(),
-                      rate, frame, sender_gid);
+  // zero sends and no copy.
+  ShardFabric& f = *fab;
+  int out[kMaxShards];
+  const int n =
+      f.route_targets(shard, /*skip_self=*/true, channel, tx_pos.x, out);
+  if (n == 0) return;
+  const Time now =
+      f.mediums_[static_cast<std::size_t>(shard)]->simulator().now();
+  for (int i = 0; i < n; ++i) {
+    f.send_fanout(shard, out[i], channel, tx_pos, now, rate, frame,
+                  sender_gid);
+  }
 }
 
 void ShardFabric::Port::on_shadow_retune(Radio& radio,
@@ -294,6 +325,7 @@ void ShardFabric::move_proxy(int home, ClientInfo& info, std::uint64_t gid,
   info.cur_shard = new_shard;
   info.cur_channel = channel;
   info.placed = true;
+  info.next_sweep = Time{0};
 }
 
 void ShardFabric::Port::on_proxy_delivery(std::uint64_t gid,
@@ -304,15 +336,20 @@ void ShardFabric::Port::on_proxy_delivery(std::uint64_t gid,
   const auto it = f.clients_.find(gid);
   if (it == f.clients_.end()) return;  // stale proxy of a torn-down client
   ShardFabric* fp = fab;
-  f.bus_.send(shard, it->second.home,
-              [fp, gid, frame] { fp->deliver_home(gid, frame); });
+  const ClientInfo* info = &it->second;  // node-based map: stable address
+  auto apply = [fp, info, frame = wire::Frame(frame)] {
+    fp->deliver_home(*info, frame);
+  };
+  static_assert(sim::ShardedSimulator::Thunk::fits_inline<decltype(apply)>,
+                "the delivery message must not allocate");
+  f.bus_.send(shard, info->home, std::move(apply));
 }
 
-void ShardFabric::deliver_home(std::uint64_t gid, const wire::Frame& frame) {
-  const auto it = clients_.find(gid);
-  if (it == clients_.end() || it->second.radio == nullptr) return;
-  Radio& r = *it->second.radio;
-  Medium& m = *mediums_[static_cast<std::size_t>(it->second.home)];
+void ShardFabric::deliver_home(const ClientInfo& info,
+                               const wire::Frame& frame) {
+  if (info.radio == nullptr) return;
+  Radio& r = *info.radio;
+  Medium& m = *mediums_[static_cast<std::size_t>(info.home)];
   // The owner drew the loss; the home radio applies its live state — deaf
   // mid-reset or already retuned elsewhere means a drop, exactly the
   // serial delivery-time gate.
@@ -322,17 +359,35 @@ void ShardFabric::deliver_home(std::uint64_t gid, const wire::Frame& frame) {
 }
 
 void ShardFabric::migrate_sweep(int shard) {
+  // Positions are computed in floating point; a client whose motion bound
+  // comes this close to a cut is sampled every window.
+  constexpr double kBoundSlackM = 0.01;
   const Time now =
       mediums_[static_cast<std::size_t>(shard)]->simulator().now();
   std::uint64_t moved = 0;
   for (auto& [gid, info] : homed_[static_cast<std::size_t>(shard)]) {
-    if (!info->placed || info->radio == nullptr) continue;
-    const auto it = partition_.stripes.find(info->cur_channel);
-    if (it == partition_.stripes.end() || it->second.size() == 1) continue;
-    const int owner = partition_.owner(info->cur_channel, info->pos_at(now).x);
-    if (owner == info->cur_shard) continue;
-    move_proxy(shard, *info, gid, info->cur_channel, owner);
-    ++moved;
+    if (!info->placed || info->radio == nullptr || now < info->next_sweep) {
+      continue;
+    }
+    const double x = info->pos_at(now).x;
+    const int owner = partition_.owner(info->cur_channel, x);
+    if (owner != info->cur_shard) {
+      move_proxy(shard, *info, gid, info->cur_channel, owner);
+      ++moved;
+      continue;
+    }
+    // Until it has covered the distance to the nearer cut of its stripe,
+    // the client cannot change owner.
+    const double room =
+        partition_.cut_distance(info->cur_channel, x) - kBoundSlackM;
+    if (room <= 0.0) continue;
+    const double dt_us = info->max_speed > 0.0
+                             ? room / info->max_speed * 1e6
+                             : std::numeric_limits<double>::infinity();
+    info->next_sweep =
+        dt_us >= static_cast<double>((Time::max() - now).count())
+            ? Time::max()
+            : now + Time{static_cast<Time::rep>(dt_us)};
   }
   if (moved != 0) migrations_.fetch_add(moved, std::memory_order_relaxed);
 }

@@ -51,6 +51,9 @@ struct ShardPartition {
   /// that can carry the channel's frames, including the shard a migrating
   /// proxy lands on mid-fault.
   int stripe_owners(wire::Channel c, int* out) const;
+  /// Distance from x to the nearer cut of the stripe of `c` holding x
+  /// (infinite for a channel that is not split).
+  double cut_distance(wire::Channel c, double x) const;
   /// True when any channel is split spatially (i.e. proxies can migrate).
   bool spatial() const;
 };
@@ -117,7 +120,7 @@ class ShardFabric {
     bool is_shadow(wire::MacAddress mac) const override;
     void on_shadow_attach(Radio& radio) override;
     void on_shadow_detach(Radio& radio) override;
-    void on_shadow_transmit(Radio& sender, const wire::Frame& frame,
+    void on_shadow_transmit(Radio& sender, wire::Frame&& frame,
                             const Position& tx_pos, BitRate rate) override;
     void on_shadow_retune(Radio& radio, wire::Channel old_channel) override;
     void on_native_transmit(wire::Channel channel, const Position& tx_pos,
@@ -137,16 +140,23 @@ class ShardFabric {
     int cur_shard = -1;
     wire::Channel cur_channel = 1;
     bool placed = false;
+    /// Earliest sim time the client could leave its current stripe (from
+    /// the distance to the nearest cut and max_speed); the sweep skips it
+    /// until then. Reset whenever the placement changes.
+    Time next_sweep{0};
   };
 
-  /// Routes a shadow/native transmission to every shard whose stripe of
-  /// `channel` is within the export margin of `tx_pos`. `from` is the
-  /// sending shard; its own medium is skipped for native senders (they
-  /// already fanned out locally) but *not* for shadows (a shadow has no
-  /// local phy presence — its proxy may live right here).
-  void route_transmit(int from, bool skip_self, wire::Channel channel,
-                      const Position& tx_pos, Time t0, BitRate rate,
-                      const wire::Frame& frame, std::uint64_t exclude_gid);
+  /// Fills `out` with every shard whose stripe of `channel` is within the
+  /// export margin of x; returns the count. `from` is the sending shard;
+  /// its own medium is skipped for native senders (they already fanned out
+  /// locally) but *not* for shadows (a shadow has no local phy presence —
+  /// its proxy may live right here).
+  int route_targets(int from, bool skip_self, wire::Channel channel, double x,
+                    int* out) const;
+  /// Mails one fan-out injection of `frame` from shard `from` to `to`.
+  void send_fanout(int from, int to, wire::Channel channel,
+                   const Position& tx_pos, Time t0, BitRate rate,
+                   wire::Frame frame, std::uint64_t exclude_gid);
   /// Sends depart (old placement) + arrive (new) thunks and updates the
   /// placement. Home thread only.
   void move_proxy(int home, ClientInfo& info, std::uint64_t gid,
@@ -154,10 +164,13 @@ class ShardFabric {
   /// Applies a forwarded delivery on the client's home shard: the owner
   /// already drew the loss; here the real radio's listening/channel state
   /// decides delivery vs drop.
-  void deliver_home(std::uint64_t gid, const wire::Frame& frame);
+  void deliver_home(const ClientInfo& info, const wire::Frame& frame);
   /// Per-window home-side sweep: re-place proxies whose client crossed a
   /// stripe cut. Installed as a ShardedSimulator window hook when the
-  /// partition is spatial.
+  /// partition is spatial. A client is sampled only once it could have
+  /// reached a cut of its stripe (ClientInfo::next_sweep), so the sweep
+  /// makes the same moves at the same windows as sampling every client
+  /// every window.
   void migrate_sweep(int shard);
 
   sim::ShardedSimulator& bus_;

@@ -69,8 +69,9 @@ class ShardLink {
   virtual void on_shadow_detach(Radio& radio) = 0;
 
   /// A shadow radio put a frame on the air: route it to every shard owning
-  /// a stripe of the radio's channel within range of `tx_pos`.
-  virtual void on_shadow_transmit(Radio& sender, const wire::Frame& frame,
+  /// a stripe of the radio's channel within range of `tx_pos`. The frame is
+  /// handed over (the home medium has no further use for it).
+  virtual void on_shadow_transmit(Radio& sender, wire::Frame&& frame,
                                   const Position& tx_pos, BitRate rate) = 0;
 
   /// A shadow radio's retune completed (channel actually changed): move

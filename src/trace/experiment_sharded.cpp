@@ -427,6 +427,16 @@ ScenarioResult execute_scenario_sharded(const ScenarioConfig& config,
                        static_cast<double>(bus.messages_sent()));
   result.metrics.count("shard.migrations",
                        static_cast<double>(fabric.migrations()));
+  // Where each shard's wall-clock went (busy / barrier wait / drain +
+  // hooks, seconds). Host-dependent, so no stdout prints them. Counters:
+  // pooled repetitions add the seconds of the same shard index.
+  for (int s = 0; s < S; ++s) {
+    const sim::ShardedSimulator::ShardTime t = bus.shard_time(s);
+    const std::string prefix = "shard." + std::to_string(s) + ".";
+    result.metrics.count(prefix + "busy_s", t.busy_s);
+    result.metrics.count(prefix + "wait_s", t.wait_s);
+    result.metrics.count(prefix + "drain_s", t.drain_s);
+  }
   return result;
 }
 

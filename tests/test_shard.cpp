@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -119,6 +122,130 @@ TEST(ShardedSimulator, WindowHookRunsEveryWindow) {
   EXPECT_EQ(hooks, 10);
 }
 
+// The rendezvous barrier under stress: more shards than this process has
+// CPUs (8 at most), and per-window work that differs by shard and window,
+// so nearly every crossing has stragglers and waiters must yield or park.
+
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return CPU_COUNT(&set);
+}
+
+struct StressFormation {
+  static constexpr Time kWindow = usec(100);
+  const int width = std::min(8, usable_cpus() + 1);
+  std::vector<std::unique_ptr<Simulator>> sims;
+  std::unique_ptr<ShardedSimulator> bus;
+  std::vector<int> hooks;                  ///< [s]: written by shard s only
+  std::vector<std::vector<int>> received;  ///< [to][from]: by shard `to`
+  std::vector<int> echoes;                 ///< [s]: by shard s only
+  std::vector<int> late;                   ///< [s]: off-boundary applies
+
+  StressFormation()
+      : hooks(static_cast<std::size_t>(width), 0),
+        received(static_cast<std::size_t>(width),
+                 std::vector<int>(static_cast<std::size_t>(width), 0)),
+        echoes(static_cast<std::size_t>(width), 0),
+        late(static_cast<std::size_t>(width), 0) {
+    std::vector<Simulator*> raw;
+    for (int s = 0; s < width; ++s) {
+      sims.push_back(std::make_unique<Simulator>());
+      raw.push_back(sims.back().get());
+    }
+    bus = std::make_unique<ShardedSimulator>(raw, kWindow);
+    for (int s = 0; s < width; ++s) {
+      bus->set_window_hook(
+          s, [this, s] { ++hooks[static_cast<std::size_t>(s)]; });
+      sims[static_cast<std::size_t>(s)]->post_at(kWindow / 2,
+                                                  [this, s] { tick(s); });
+    }
+  }
+
+  static void spin_for(std::chrono::microseconds d) {
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+
+  /// Mid-window on shard s: uneven busy work, then one message to every
+  /// other shard. Each message must apply at the very next boundary; every
+  /// third one answers from inside the drain, and that echo must apply one
+  /// boundary later still.
+  void tick(int s) {
+    Simulator& sim = *sims[static_cast<std::size_t>(s)];
+    const auto k = sim.now().count() / kWindow.count() + 1;  // window index
+    spin_for(std::chrono::microseconds(((s + k) % 4) * 15));
+    for (int to = 0; to < width; ++to) {
+      if (to == s) continue;
+      bus->send(s, to, [this, s, to, k] {
+        const auto t = static_cast<std::size_t>(to);
+        ++received[t][static_cast<std::size_t>(s)];
+        if (sims[t]->now() != kWindow * k) ++late[t];
+        if (k % 3 != 0) return;
+        bus->send(to, s, [this, s, k] {
+          const auto back = static_cast<std::size_t>(s);
+          ++echoes[back];
+          if (sims[back]->now() != kWindow * (k + 1)) ++late[back];
+        });
+      });
+    }
+    sim.post_at(sim.now() + kWindow, [this, s] { tick(s); });
+  }
+};
+
+TEST(ShardedSimulator, OversubscribedUnevenFormationStaysInLockstep) {
+  StressFormation f;
+  const int windows = 300;
+  ASSERT_TRUE(f.bus->run_until(StressFormation::kWindow * windows));
+  EXPECT_EQ(f.bus->windows_run(), static_cast<std::uint64_t>(windows));
+  const int peers = f.width - 1;
+  // Ticks in window w send at w's boundary; the last window's echoes are
+  // still in flight when the run ends.
+  const int echo_windows = windows / 3;
+  for (int s = 0; s < f.width; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    EXPECT_EQ(f.sims[i]->now(), StressFormation::kWindow * windows);
+    EXPECT_EQ(f.hooks[i], windows) << "shard " << s;
+    for (int from = 0; from < f.width; ++from) {
+      EXPECT_EQ(f.received[i][static_cast<std::size_t>(from)],
+                from == s ? 0 : windows)
+          << "shard " << s << " from " << from;
+    }
+    EXPECT_EQ(f.late[i], 0) << "shard " << s;
+  }
+  // Every echo but the final window's (sent while draining the last
+  // boundary) applied exactly once; drain_final flushes the rest.
+  int echoes = 0;
+  for (int e : f.echoes) echoes += e;
+  EXPECT_EQ(echoes, f.width * peers * (echo_windows - (windows % 3 == 0)));
+  f.bus->drain_final();
+  echoes = 0;
+  for (int e : f.echoes) echoes += e;
+  EXPECT_EQ(echoes, f.width * peers * echo_windows);
+  EXPECT_EQ(f.bus->messages_sent(), static_cast<std::uint64_t>(
+                                        f.width * peers *
+                                        (windows + echo_windows)));
+}
+
+TEST(ShardedSimulator, OversubscribedUnevenFormationCancelsTogether) {
+  StressFormation f;
+  sim::CancelToken token;
+  Simulator& last = *f.sims.back();
+  last.post_at(usec(4550), [&] { token.request_cancel(); });
+  EXPECT_FALSE(f.bus->run_until(sec(1), &token));
+  // Stopped at a window boundary shortly after the trip, not at the
+  // 10000-window deadline, and every shard left at the same boundary: no
+  // shard ran a hook (or drained) for a window the others abandoned.
+  EXPECT_LT(f.bus->windows_run(), 100u);
+  for (int s = 0; s < f.width; ++s) {
+    const int hooks = f.hooks[static_cast<std::size_t>(s)];
+    EXPECT_EQ(static_cast<std::uint64_t>(hooks) + 1, f.bus->windows_run())
+        << "shard " << s;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Partition builder.
 // ---------------------------------------------------------------------
@@ -193,6 +320,24 @@ TEST(ShardPartition, SingleShardOwnsEverything) {
   EXPECT_FALSE(part.spatial());
   EXPECT_EQ(part.owner(6, 1e6), 0);
   EXPECT_EQ(part.owner(99, -1e6), 0);
+}
+
+TEST(ShardPartition, CutDistanceIsToTheNearerCutOfTheStripe) {
+  // The migration sweep's motion bound: a client cannot change owner
+  // before it has covered this distance.
+  ShardPartition part;
+  part.shards = 3;
+  const double inf = std::numeric_limits<double>::infinity();
+  part.stripes[6] = {{200.0, 0}, {500.0, 1}, {inf, 2}};
+  part.stripes[1] = {{inf, 0}};
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, 150.0), 50.0);
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, -1000.0), 1200.0);
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, 200.0), 0.0);  // on the cut
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, 260.0), 60.0);
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, 480.0), 20.0);
+  EXPECT_DOUBLE_EQ(part.cut_distance(6, 900.0), 400.0);
+  EXPECT_EQ(part.cut_distance(1, 42.0), inf);   // whole channel
+  EXPECT_EQ(part.cut_distance(11, 42.0), inf);  // channel nobody uses
 }
 
 // ---------------------------------------------------------------------
