@@ -2,14 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/spider_driver.hpp"
+#include "fault/fault.hpp"
 #include "mobility/mobility.hpp"
 #include "obs/tracer.hpp"
+#include "phy/shard_fabric.hpp"
+#include "phy/shard_link.hpp"
+#include "sim/sharded.hpp"
 #include "trace/runner.hpp"
 
 namespace spider::trace {
@@ -50,39 +56,112 @@ void digest_join_log(ScenarioResult& result) {
   }
 }
 
+namespace {
+
+/// Per-shard testbed seed: a splitmix-style scramble of (seed, shard) so
+/// sibling shards draw independent streams while staying a pure function
+/// of the scenario seed.
+std::uint64_t shard_seed(std::uint64_t seed, int shard) {
+  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull *
+                               (static_cast<std::uint64_t>(shard) + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
+int resolve_shards(const ScenarioConfig& config) {
+  if (config.shards != 0) return std::max(1, config.shards);
+  // Automatic width, decided purely from the workload (never from the
+  // host) so every machine resolves — and reproduces — the same formation.
+  // Only city-scale populations amortise the window barriers. Impairment
+  // sources do not pin the run to one testbed: schedules compile into
+  // per-shard sub-schedules at partition time (DESIGN.md §12).
+  const bool city_scale =
+      config.city.has_value() && config.resolved_clients() >= 16;
+  return city_scale ? 4 : 1;
+}
+
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
                                 sim::CancelToken* cancel) {
-  // Formations of more than one shard take the sharded twin (one testbed
-  // per shard, lockstep windows). Impairment sources ride along: the
-  // schedule is compiled into per-shard sub-schedules at partition time
-  // (fault::partition_schedule, DESIGN.md §12).
-  const int shards = resolve_shards(config);
-  if (shards > 1) {
-    return execute_scenario_sharded(config, shards, std::move(tracer), cancel);
-  }
   const auto wall_start = std::chrono::steady_clock::now();
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
-  tb_config.propagation = config.propagation;
-  tb_config.medium.neighbor_index = config.neighbor_index;
-  tb_config.medium.grid_cell_m = config.grid_cell_m;
-  Testbed bed(tb_config);
-  if (cancel != nullptr) bed.sim.set_cancel_token(cancel);
+  // The placement's width. Width 1 is one testbed with no bus and no
+  // fabric; wider formations run one testbed per shard in lockstep windows
+  // (DESIGN.md §12). Everything else below is written once for both.
+  const int S = resolve_shards(config);
+  const auto each = static_cast<std::size_t>(S);
+
+  // One testbed per shard: its own simulator, medium, wired core and
+  // download server. Event ids are seeded into disjoint per-shard spaces —
+  // TCP connection ids travel across shards inside packets, so two home
+  // shards must never mint the same id (shard 0's space is the default).
+  std::vector<std::unique_ptr<Testbed>> beds;
+  std::vector<phy::Medium*> mediums;
+  std::vector<sim::Simulator*> sims;
+  beds.reserve(each);
+  for (int s = 0; s < S; ++s) {
+    TestbedConfig tb_config;
+    tb_config.seed = S == 1 ? config.seed : shard_seed(config.seed, s);
+    tb_config.propagation = config.propagation;
+    tb_config.medium.neighbor_index = config.neighbor_index;
+    tb_config.medium.grid_cell_m = config.grid_cell_m;
+    beds.push_back(std::make_unique<Testbed>(tb_config));
+    beds.back()->sim.seed_ids(static_cast<std::uint64_t>(s) << 48);
+    mediums.push_back(&beds.back()->medium);
+    sims.push_back(&beds.back()->sim);
+  }
   // Installed before any entity schedules work so the trace covers the
   // whole run. The recorder only reads the sim clock — never wall time —
-  // so the trace is a pure function of (config, seed).
-  if (tracer) bed.sim.set_tracer(tracer.get());
+  // so the trace is a pure function of (config, seed). One flight recorder
+  // cannot span event loops; shard 0's timeline is traced (the grid
+  // counters below still aggregate every medium).
+  if (tracer) beds[0]->sim.set_tracer(tracer.get());
 
-  // Populate the road (or the city street mesh).
-  Rng deploy_rng = bed.fork_rng();
+  // The physical world (AP sites, client routes). One testbed draws it
+  // from its own stream; a formation from a master forked deployment
+  // first, then one route per city client.
+  Rng master(config.seed);
+  auto fork_world = [&] {
+    return S == 1 ? beds[0]->fork_rng() : master.fork();
+  };
+  Rng deploy_rng = fork_world();
   const auto sites =
       !config.fixed_sites.empty()
           ? config.fixed_sites
           : config.city
               ? mob::generate_city_deployment(*config.city, deploy_rng)
               : mob::generate_deployment(config.deployment, deploy_rng);
+
+  // Channel/stripe ownership from the AP population (at width 1 shard 0
+  // owns everything).
+  std::vector<std::pair<wire::Channel, double>> ap_xs;
+  ap_xs.reserve(sites.size());
   for (const auto& site : sites) {
+    ap_xs.push_back({site.channel, site.position.x});
+  }
+  const phy::ShardPartition partition =
+      phy::build_shard_partition(ap_xs, S, config.propagation.range_m);
+  std::optional<sim::ShardedSimulator> bus;
+  std::optional<phy::ShardFabric> fabric;
+  if (S > 1) {
+    bus.emplace(sims, phy::kShardLookahead);
+    fabric.emplace(*bus, mediums, partition, [](wire::MacAddress mac) {
+      return mac.raw() >= Testbed::kClientMacBase;
+    });
+  }
+
+  // APs go to their stripe owners, carrying their deployment-global index
+  // so BSSIDs and subnets match at every width. The owner/local-index
+  // maps feed fault routing: an entity-scoped fault addressed to global AP
+  // g must land on g's owner shard, re-targeted to g's position in that
+  // shard's injector registration order.
+  std::vector<int> ap_owner_shard(sites.size(), 0);
+  std::vector<int> ap_local_index(sites.size(), 0);
+  std::vector<int> ap_count(each, 0);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const auto& site = sites[i];
     Testbed::ApSpec spec;
     spec.channel = site.channel;
     spec.position = site.position;
@@ -90,7 +169,11 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     spec.backhaul_delay = config.backhaul_delay;
     spec.internet_connected = site.internet_connected;
     spec.dhcp = config.dhcp_server;
-    bed.add_ap(spec);
+    spec.index = i;
+    const int owner = partition.owner(site.channel, site.position.x);
+    beds[static_cast<std::size_t>(owner)]->add_ap(spec);
+    ap_owner_shard[i] = owner;
+    ap_local_index[i] = ap_count[static_cast<std::size_t>(owner)]++;
   }
 
   // The vehicles. Each client rig owns its route and driver stack; radios
@@ -117,7 +200,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
       // Each city client tours its own randomly drawn block rectangle. The
       // forks happen only in city mode, after the deployment fork, so
       // road-mode runs replay their exact pre-city RNG streams.
-      Rng route_rng = bed.fork_rng();
+      Rng route_rng = fork_world();
       rig.route = std::make_unique<mob::WaypointLoop>(
           mob::city_route_waypoints(*config.city, route_rng),
           config.speed_mps);
@@ -133,17 +216,31 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     }
   }
 
-  ThroughputRecorder recorder(config.metrics_bin);
-  DownloadHarness harness(bed.sim, bed.server_ip(), recorder);
+  // Goodput timelines are per shard — each recorder is fed only from its
+  // own event loop — and merge bin-by-bin after the run.
+  std::vector<std::unique_ptr<ThroughputRecorder>> recorders;
+  std::vector<std::unique_ptr<DownloadHarness>> harnesses;
+  for (int s = 0; s < S; ++s) {
+    Testbed& bed = *beds[static_cast<std::size_t>(s)];
+    recorders.push_back(
+        std::make_unique<ThroughputRecorder>(config.metrics_bin));
+    harnesses.push_back(std::make_unique<DownloadHarness>(
+        bed.sim, bed.server_ip(), *recorders.back()));
+  }
   ScenarioResult result;
 
   // Impairment timeline: the declarative source resolves to the schedule
-  // the injector arms (synthetic sources pass through verbatim; trace-backed
-  // ones ingest + compile here). The injector master derives from the
-  // scenario seed under a fixed salt — never from the testbed's fork chain
-  // (whose position depends on AP/client counts) — so per-spec dwell
-  // streams match the sharded engine's partition_schedule exactly, and
-  // impairment-free scenarios replay the exact pre-fault streams.
+  // the injectors arm (synthetic sources pass through verbatim; trace-backed
+  // ones ingest + compile here). The schedule compiles into per-shard
+  // sub-schedules (DESIGN.md §12): channel faults to every stripe owner of
+  // the channel, entity faults to the target AP's owner shard, global
+  // faults to every AP-bearing shard, with one shard per spec designated
+  // onset accountant so resilience counters exact-sum like
+  // PerfCounters::merge_shard. The stream master derives from the scenario
+  // seed under a fixed salt — never from the testbed's fork chain (whose
+  // position depends on AP/client counts) — and forks once per spec in
+  // schedule order, so every width hands each spec the same dwell stream
+  // and impairment-free scenarios replay the exact pre-fault streams.
   fault::FaultSchedule faults;
   if (!config.impairments.none()) {
     std::string error;
@@ -157,32 +254,58 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     }
     faults = std::move(*resolved);
   }
-  ResilienceRecorder resilience;
-  std::optional<fault::FaultInjector> injector;
+  std::vector<ResilienceRecorder> resilience(each);
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors(each);
   if (!faults.empty()) {
-    injector.emplace(bed.sim, Rng(fault::fault_stream_seed(config.seed)));
-    injector->attach_medium(bed.medium);
-    for (auto& bundle : bed.aps()) {
-      injector->add_ap(*bundle.ap, bundle.network.get());
+    fault::FaultRouter router;
+    router.shards = S;
+    router.total_aps = sites.size();
+    router.channel_owners = [&partition](int channel) {
+      int buf[phy::kMaxShards];
+      const int n =
+          partition.stripe_owners(static_cast<wire::Channel>(channel), buf);
+      return std::vector<int>(buf, buf + n);
+    };
+    router.ap_owner = [&ap_owner_shard, &ap_local_index](std::size_t g) {
+      return std::pair<int, int>(ap_owner_shard[g], ap_local_index[g]);
+    };
+    const Rng fault_master(fault::fault_stream_seed(config.seed));
+    std::vector<std::vector<fault::RoutedFault>> routed =
+        fault::partition_schedule(faults, fault_master, router);
+    for (int s = 0; s < S; ++s) {
+      Testbed& bed = *beds[static_cast<std::size_t>(s)];
+      ResilienceRecorder& rec = resilience[static_cast<std::size_t>(s)];
+      // Each shard's harness reports its clients' link churn into the
+      // shard-local recorder (every event fires on that shard's thread).
+      // Link events carry the client identity (the MAC block, shared by the
+      // radio and every interface in it), so the post-run merge equals one
+      // recorder over the whole fleet client-for-client.
+      harnesses[static_cast<std::size_t>(s)]->set_extra_callbacks({
+          .on_link_up =
+              [&rec, &sim = bed.sim](core::VirtualInterface& vif) {
+                rec.note_link_up(sim.now(), vif.mac().raw() >> 8);
+              },
+          .on_link_down =
+              [&rec, &sim = bed.sim](core::VirtualInterface& vif) {
+                rec.note_link_down(sim.now(), vif.mac().raw() >> 8);
+              },
+      });
+      if (routed[static_cast<std::size_t>(s)].empty()) continue;
+      // Routed specs carry their own streams; the injector's is never drawn.
+      injectors[static_cast<std::size_t>(s)] =
+          std::make_unique<fault::FaultInjector>(bed.sim, fault_master);
+      fault::FaultInjector& injector =
+          *injectors[static_cast<std::size_t>(s)];
+      injector.attach_medium(bed.medium);
+      for (auto& bundle : bed.aps()) {
+        injector.add_ap(*bundle.ap, bundle.network.get());
+      }
+      injector.set_fault_observer(
+          [&rec, &sim = bed.sim](const fault::FaultSpec&) {
+            rec.note_fault(sim.now());
+          });
+      injector.arm_routed(std::move(routed[static_cast<std::size_t>(s)]));
     }
-    injector->set_fault_observer(
-        [&resilience, &sim = bed.sim](const fault::FaultSpec&) {
-          resilience.note_fault(sim.now());
-        });
-    injector->arm(faults);
-    // Link events carry the client identity (the MAC block, shared by the
-    // radio and every interface in it), keeping outage detection per client
-    // — the same bookkeeping a formation does shard-by-shard.
-    harness.set_extra_callbacks({
-        .on_link_up =
-            [&resilience, &sim = bed.sim](core::VirtualInterface& vif) {
-              resilience.note_link_up(sim.now(), vif.mac().raw() >> 8);
-            },
-        .on_link_down =
-            [&resilience, &sim = bed.sim](core::VirtualInterface& vif) {
-              resilience.note_link_down(sim.now(), vif.mac().raw() >> 8);
-            },
-    });
   }
 
   // Declare the clients' motion bound to the medium: every route above is a
@@ -194,26 +317,33 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   base::StockConfig stock_cfg = config.stock;
   stock_cfg.stack.radio.max_speed_mps = config.speed_mps;
 
-  // Assemble one driver stack per client. Construction and start order per
-  // rig matches the old single-client path exactly (driver, manager,
-  // harness attach, starts, adaptive), so one-client runs replay the same
-  // event sequence to the byte. Each rig's config starts from the shared
-  // tuned copy and has its mix profile applied on top — a default profile
-  // is the exact identity, so mix-free scenarios are unchanged.
+  // Assemble one driver stack per client, homed round-robin. Construction
+  // and start order per rig is fixed (driver, manager, harness attach,
+  // starts, adaptive), so one-client runs replay the same event sequence
+  // to the byte. Each rig's config starts from the shared tuned copy and
+  // has its mix profile applied on top — a default profile is the exact
+  // identity, so mix-free scenarios are unchanged. The MAC block is the
+  // client's deployment-global identity; in a formation the fabric places
+  // the phy proxy on the owner of the boot-channel stripe.
   for (int c = 0; c < clients; ++c) {
     ClientRig& rig = rigs[static_cast<std::size_t>(c)];
+    const int home = c % S;
+    Testbed& bed = *beds[static_cast<std::size_t>(home)];
+    DownloadHarness& harness = *harnesses[static_cast<std::size_t>(home)];
+    const std::uint64_t block =
+        Testbed::client_mac_block(static_cast<std::uint64_t>(c));
     const ClientProfile& profile = profiles[static_cast<std::size_t>(c)];
     auto position = [route = rig.route.get(), offset = rig.offset,
                      &sim = bed.sim] {
       return route->position_at(sim.now() + offset);
     };
+    phy::Radio* radio = nullptr;
     switch (config.driver) {
       case DriverKind::kSpider: {
         core::SpiderConfig rig_cfg = spider_cfg;
         profile.apply(rig_cfg);
         rig.spider = std::make_unique<core::SpiderDriver>(
-            bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg);
+            bed.sim, bed.medium, block, position, rig_cfg);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.spider, bed.server_ip());
         harness.attach(*rig.manager);
@@ -225,38 +355,59 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
               config.adaptive_config);
           rig.adaptive->start();
         }
+        radio = &rig.spider->radio();
         break;
       }
       case DriverKind::kStock: {
         base::StockConfig rig_cfg = stock_cfg;
         profile.apply(rig_cfg);
         rig.stock = std::make_unique<base::StockWifiDriver>(
-            bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg, bed.server_ip());
+            bed.sim, bed.medium, block, position, rig_cfg, bed.server_ip());
         harness.attach(*rig.stock);
         rig.stock->start();
+        radio = &rig.stock->radio();
         break;
       }
       case DriverKind::kFatVap: {
         core::SpiderConfig rig_cfg = spider_cfg;
         profile.apply(rig_cfg);
         rig.fatvap = std::make_unique<base::FatVapDriver>(
-            bed.sim, bed.medium, bed.next_client_mac_block(), position,
-            rig_cfg, config.fatvap);
+            bed.sim, bed.medium, block, position, rig_cfg, config.fatvap);
         rig.manager =
             std::make_unique<core::LinkManager>(*rig.fatvap, bed.server_ip());
         harness.attach(*rig.manager);
         rig.fatvap->start();
         rig.manager->start();
+        radio = &rig.fatvap->radio();
         break;
       }
     }
+    if (fabric) {
+      fabric->register_client(
+          home, *radio,
+          [route = rig.route.get(), offset = rig.offset](Time t) {
+            return route->position_at(t + offset);
+          },
+          config.speed_mps, block, block + 0x100ULL);
+    }
   }
-  bed.sim.run_until(config.duration);
-  result.completed = !bed.sim.interrupted();
 
-  // Harvest in client order: join logs concatenate, switch counts sum,
-  // latency accumulators merge (parallel Welford). An interrupted run
+  if (bus) {
+    // Place the initial proxies, run the formation in lockstep windows,
+    // then flush in-flight exchange (forwarded deliveries from the final
+    // window).
+    bus->drain_initial();
+    result.completed = bus->run_until(config.duration, cancel);
+    bus->drain_final();
+  } else {
+    sim::Simulator& sim = beds[0]->sim;
+    if (cancel != nullptr) sim.set_cancel_token(cancel);
+    sim.run_until(config.duration);
+    result.completed = !sim.interrupted();
+  }
+
+  // Harvest in global client order: join logs concatenate, switch counts
+  // sum, latency accumulators merge (parallel Welford). An interrupted run
   // harvests the same way — partial output is flushed, not discarded.
   for (ClientRig& rig : rigs) {
     switch (config.driver) {
@@ -282,36 +433,83 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     }
   }
 
-  // An interrupted run closes its timeline at the interruption point, so
-  // connectivity/throughput fractions describe the simulated span, not the
-  // never-reached configured horizon. Completed runs have now() == duration.
-  recorder.finalize(bed.sim.now());
-  result.avg_throughput_kBps = recorder.average_throughput_kBps();
-  result.connectivity = recorder.connectivity_fraction();
-  result.connection_durations = Cdf(recorder.connection_durations());
-  result.disruption_durations = Cdf(recorder.disruption_durations());
-  result.instantaneous_kBps = Cdf(recorder.instantaneous_kBps());
-  result.total_bytes = recorder.total_bytes();
-  result.faults_injected = resilience.faults_injected();
-  result.outages = resilience.outages();
-  result.recoveries = resilience.recoveries();
-  result.recovery_times = resilience.time_to_recover();
+  // Timelines close at their own shard's clock: an interrupted run closes
+  // at the interruption point (a formation stops at a window boundary; the
+  // tripped shard may be mid-window), so connectivity/throughput fractions
+  // describe the simulated span, not the never-reached configured horizon.
+  // They merge into the run's single goodput timeline; resilience counters
+  // exact-sum (onset accounting ran on one shard per spec, outage
+  // bookkeeping is per client, and the TTR vector is (time, client)-ordered).
+  ThroughputRecorder merged(config.metrics_bin);
+  ResilienceRecorder resilience_total;
+  for (int s = 0; s < S; ++s) {
+    recorders[static_cast<std::size_t>(s)]->finalize(
+        beds[static_cast<std::size_t>(s)]->sim.now());
+    merged.merge(*recorders[static_cast<std::size_t>(s)]);
+    resilience_total.merge(resilience[static_cast<std::size_t>(s)]);
+  }
+  result.avg_throughput_kBps = merged.average_throughput_kBps();
+  result.connectivity = merged.connectivity_fraction();
+  result.connection_durations = Cdf(merged.connection_durations());
+  result.disruption_durations = Cdf(merged.disruption_durations());
+  result.instantaneous_kBps = Cdf(merged.instantaneous_kBps());
+  result.total_bytes = merged.total_bytes();
+  result.faults_injected = resilience_total.faults_injected();
+  result.outages = resilience_total.outages();
+  result.recoveries = resilience_total.recoveries();
+  result.recovery_times = resilience_total.time_to_recover();
   digest_join_log(result);
-  result.perf = bed.sim.perf();
-  bed.medium.add_perf(result.perf);
+
+  // Exact-sum aggregation: event totals add across shards, heap peaks add
+  // (the heaps coexist), the simulated horizon is the max — summing it
+  // would erase the speedup sim_per_wall exists to measure.
+  std::uint64_t cells = 0, rebuckets = 0;
+  for (int s = 0; s < S; ++s) {
+    const sim::PerfCounters shard_perf = sims[static_cast<std::size_t>(s)]->perf();
+    if (s == 0) {
+      result.perf = shard_perf;
+    } else {
+      result.perf.merge_shard(shard_perf);
+    }
+    mediums[static_cast<std::size_t>(s)]->add_perf(result.perf);
+    cells += mediums[static_cast<std::size_t>(s)]->grid_cells_scanned();
+    rebuckets += mediums[static_cast<std::size_t>(s)]->grid_rebuckets();
+  }
   result.perf.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   if (tracer) {
-    bed.sim.set_tracer(nullptr);
+    beds[0]->sim.set_tracer(nullptr);
     result.metrics = tracer->metrics();
     // Medium-side spatial-grid counters ride along with the trace-derived
     // metrics so sinks see them next to the per-layer event counts.
-    result.metrics.count("phy.grid_cells_scanned",
-                         bed.medium.grid_cells_scanned());
-    result.metrics.count("phy.grid_rebuckets", bed.medium.grid_rebuckets());
+    result.metrics.count("phy.grid_cells_scanned", cells);
+    result.metrics.count("phy.grid_rebuckets", rebuckets);
     result.traces.push_back(std::move(tracer));
+  }
+  if (bus) {
+    // Formation diagnostics ride every sharded result, traced or not (the
+    // perf CSV reads shard.width). Width is a gauge so pooled repetitions
+    // keep the formation width instead of summing it; the volume counters
+    // pool into fleet totals like every other counter.
+    result.metrics.gauge("shard.width", static_cast<double>(S));
+    result.metrics.count("shard.windows",
+                         static_cast<double>(bus->windows_run()));
+    result.metrics.count("shard.messages",
+                         static_cast<double>(bus->messages_sent()));
+    result.metrics.count("shard.migrations",
+                         static_cast<double>(fabric->migrations()));
+    // Where each shard's wall-clock went (busy / barrier wait / drain +
+    // hooks, seconds). Host-dependent, so no stdout prints them. Counters:
+    // pooled repetitions add the seconds of the same shard index.
+    for (int s = 0; s < S; ++s) {
+      const sim::ShardedSimulator::ShardTime t = bus->shard_time(s);
+      const std::string prefix = "shard." + std::to_string(s) + ".";
+      result.metrics.count(prefix + "busy_s", t.busy_s);
+      result.metrics.count(prefix + "wait_s", t.wait_s);
+      result.metrics.count(prefix + "drain_s", t.drain_s);
+    }
   }
   return result;
 }

@@ -164,10 +164,14 @@ struct ScenarioResult {
 };
 
 namespace detail {
-/// The single scenario kernel every entrypoint funnels into: assembles the
-/// testbed, installs `tracer` on the simulator when given, runs, harvests.
-/// When `cancel` is non-null the simulator polls it (DESIGN.md §11): a
-/// tripped token interrupts the run and the partial result comes back with
+/// The single scenario kernel every entrypoint funnels into: assembles a
+/// placement of width S = resolve_shards(config), installs `tracer` when
+/// given, runs, harvests. Width 1 is one testbed with no bus and no
+/// fabric; wider formations run one testbed per shard, APs on their stripe
+/// owners and clients homed round-robin with phy proxies on their channel
+/// owners, advanced in lockstep by sim::ShardedSimulator (DESIGN.md §12).
+/// When `cancel` is non-null the run polls it (DESIGN.md §11): a tripped
+/// token interrupts the run and the partial result comes back with
 /// `completed == false`. Completed runs are byte-identical with or without
 /// a token installed.
 ScenarioResult execute_scenario(const ScenarioConfig& config,
@@ -180,16 +184,6 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
 /// across machines. ScenarioRunner divides its --jobs budget by the
 /// resolved width so a campaign of sharded runs never oversubscribes.
 int resolve_shards(const ScenarioConfig& config);
-
-/// The sharded twin of execute_scenario (experiment_sharded.cpp): one
-/// testbed per shard, APs on their stripe owners, clients homed round-robin
-/// with proxy presences on their channel owners, all advanced in lockstep
-/// by sim::ShardedSimulator. Dispatched to by execute_scenario when
-/// resolve_shards > 1.
-ScenarioResult execute_scenario_sharded(const ScenarioConfig& config,
-                                        int shards,
-                                        std::shared_ptr<obs::Tracer> tracer,
-                                        sim::CancelToken* cancel);
 
 /// Fills the join-log digests (attempted/assoc/dhcp/e2e) from result.join_log.
 void digest_join_log(ScenarioResult& result);
