@@ -91,7 +91,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // fabric; wider formations run one testbed per shard in lockstep windows
   // (DESIGN.md §12). Everything else below is written once for both.
   const int S = resolve_shards(config);
-  const auto each = static_cast<std::size_t>(S);
+  const auto width = static_cast<std::size_t>(S);
 
   // One testbed per shard: its own simulator, medium, wired core and
   // download server. Event ids are seeded into disjoint per-shard spaces —
@@ -100,7 +100,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   std::vector<std::unique_ptr<Testbed>> beds;
   std::vector<phy::Medium*> mediums;
   std::vector<sim::Simulator*> sims;
-  beds.reserve(each);
+  beds.reserve(width);
   for (int s = 0; s < S; ++s) {
     TestbedConfig tb_config;
     tb_config.seed = S == 1 ? config.seed : shard_seed(config.seed, s);
@@ -115,18 +115,27 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // Installed before any entity schedules work so the trace covers the
   // whole run. The recorder only reads the sim clock — never wall time —
   // so the trace is a pure function of (config, seed). One flight recorder
-  // cannot span event loops; shard 0's timeline is traced (the grid
-  // counters below still aggregate every medium).
-  if (tracer) beds[0]->sim.set_tracer(tracer.get());
+  // cannot span event loops: shard 0 uses the given one and every other
+  // shard gets its own with the same capacity and seed label.
+  std::vector<std::shared_ptr<obs::Tracer>> tracers;
+  if (tracer) {
+    tracers.push_back(std::move(tracer));
+    for (int s = 1; s < S; ++s) {
+      tracers.push_back(std::make_shared<obs::Tracer>(obs::TracerConfig{
+          tracers[0]->capacity(), tracers[0]->seed()}));
+    }
+    for (int s = 0; s < S; ++s) {
+      sims[static_cast<std::size_t>(s)]->set_tracer(
+          tracers[static_cast<std::size_t>(s)].get());
+    }
+  }
 
-  // The physical world (AP sites, client routes). One testbed draws it
-  // from its own stream; a formation from a master forked deployment
-  // first, then one route per city client.
-  Rng master(config.seed);
-  auto fork_world = [&] {
-    return S == 1 ? beds[0]->fork_rng() : master.fork();
-  };
-  Rng deploy_rng = fork_world();
+  // The physical world comes from one stream drawn in a fixed order at
+  // every width: the deployment, then each AP's MAC and network streams in
+  // global index order, then one route per city client. A formation thus
+  // simulates the same city as one testbed, sliced differently.
+  Rng world(config.seed);
+  Rng deploy_rng = world.fork();
   const auto sites =
       !config.fixed_sites.empty()
           ? config.fixed_sites
@@ -159,7 +168,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // shard's injector registration order.
   std::vector<int> ap_owner_shard(sites.size(), 0);
   std::vector<int> ap_local_index(sites.size(), 0);
-  std::vector<int> ap_count(each, 0);
+  std::vector<int> ap_count(width, 0);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     const auto& site = sites[i];
     Testbed::ApSpec spec;
@@ -170,6 +179,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     spec.internet_connected = site.internet_connected;
     spec.dhcp = config.dhcp_server;
     spec.index = i;
+    spec.streams = &world;
     const int owner = partition.owner(site.channel, site.position.x);
     beds[static_cast<std::size_t>(owner)]->add_ap(spec);
     ap_owner_shard[i] = owner;
@@ -200,7 +210,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
       // Each city client tours its own randomly drawn block rectangle. The
       // forks happen only in city mode, after the deployment fork, so
       // road-mode runs replay their exact pre-city RNG streams.
-      Rng route_rng = fork_world();
+      Rng route_rng = world.fork();
       rig.route = std::make_unique<mob::WaypointLoop>(
           mob::city_route_waypoints(*config.city, route_rng),
           config.speed_mps);
@@ -254,8 +264,8 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     }
     faults = std::move(*resolved);
   }
-  std::vector<ResilienceRecorder> resilience(each);
-  std::vector<std::unique_ptr<fault::FaultInjector>> injectors(each);
+  std::vector<ResilienceRecorder> resilience(width);
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors(width);
   if (!faults.empty()) {
     fault::FaultRouter router;
     router.shards = S;
@@ -465,28 +475,39 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // would erase the speedup sim_per_wall exists to measure.
   std::uint64_t cells = 0, rebuckets = 0;
   for (int s = 0; s < S; ++s) {
-    const sim::PerfCounters shard_perf = sims[static_cast<std::size_t>(s)]->perf();
+    const sim::PerfCounters shard_perf =
+        sims[static_cast<std::size_t>(s)]->perf();
     if (s == 0) {
       result.perf = shard_perf;
     } else {
       result.perf.merge_shard(shard_perf);
     }
-    mediums[static_cast<std::size_t>(s)]->add_perf(result.perf);
-    cells += mediums[static_cast<std::size_t>(s)]->grid_cells_scanned();
-    rebuckets += mediums[static_cast<std::size_t>(s)]->grid_rebuckets();
+    const phy::Medium& medium = *mediums[static_cast<std::size_t>(s)];
+    medium.add_perf(result.perf);
+    cells += medium.grid_cells_scanned();
+    rebuckets += medium.grid_rebuckets();
   }
   result.perf.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  if (tracer) {
-    beds[0]->sim.set_tracer(nullptr);
-    result.metrics = tracer->metrics();
+  if (!tracers.empty()) {
+    // Per-shard metrics merge like pooled runs (counters sum, gauges max);
+    // every shard's recorder is kept, in shard order.
+    for (int s = 0; s < S; ++s) {
+      sims[static_cast<std::size_t>(s)]->set_tracer(nullptr);
+      const obs::Tracer& t = *tracers[static_cast<std::size_t>(s)];
+      if (s == 0) {
+        result.metrics = t.metrics();
+      } else {
+        result.metrics.merge(t.metrics());
+      }
+    }
     // Medium-side spatial-grid counters ride along with the trace-derived
     // metrics so sinks see them next to the per-layer event counts.
     result.metrics.count("phy.grid_cells_scanned", cells);
     result.metrics.count("phy.grid_rebuckets", rebuckets);
-    result.traces.push_back(std::move(tracer));
+    result.traces.assign(tracers.begin(), tracers.end());
   }
   if (bus) {
     // Formation diagnostics ride every sharded result, traced or not (the

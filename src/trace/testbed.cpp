@@ -19,9 +19,10 @@ Testbed::ApBundle& Testbed::add_ap(const ApSpec& spec) {
   mac_config.channel = spec.channel;
 
   const auto index = spec.index ? *spec.index : next_subnet_++;
+  Rng& streams = spec.streams != nullptr ? *spec.streams : rng_;
   const wire::MacAddress bssid(0xA0'0000ULL + index);
   bundle.ap = std::make_unique<mac::AccessPoint>(
-      sim, medium, bssid, spec.position, mac_config, rng_.fork());
+      sim, medium, bssid, spec.position, mac_config, streams.fork());
 
   net::ApNetworkConfig net_config;
   net_config.backhaul.rate = spec.backhaul;
@@ -32,7 +33,7 @@ Testbed::ApBundle& Testbed::add_ap(const ApSpec& spec) {
   const wire::Ipv4 subnet(10, static_cast<std::uint8_t>(index / 250),
                           static_cast<std::uint8_t>(index % 250), 0);
   bundle.network = std::make_unique<net::ApNetwork>(
-      sim, *bundle.ap, wired, subnet, net_config, rng_.fork());
+      sim, *bundle.ap, wired, subnet, net_config, streams.fork());
 
   bundle.ap->start();
   aps_.push_back(std::move(bundle));

@@ -51,6 +51,11 @@ class Testbed {
     /// the deployment-global index so an AP keeps the identity it would
     /// have in a serial run regardless of which shard hosts it.
     std::optional<std::uint64_t> index;
+    /// Where the AP's MAC and network streams are forked from, in that
+    /// order. Unset: the testbed's own Rng. The scenario kernel passes its
+    /// world Rng so every AP draws in deployment-global order whichever
+    /// shard hosts it.
+    Rng* streams = nullptr;
   };
 
   struct ApBundle {

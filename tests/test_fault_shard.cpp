@@ -482,7 +482,7 @@ RunOut run_serial(const FuzzSpec& spec, std::uint64_t seed) {
 }
 
 /// An N-shard formation with per-shard mediums, a fabric, and the sharded
-/// fault wiring of experiment_sharded.cpp in miniature.
+/// fault wiring of the scenario kernel (experiment.cpp) in miniature.
 struct Cluster {
   std::vector<std::unique_ptr<Simulator>> sims;
   std::unique_ptr<ShardedSimulator> bus;

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -13,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "phy/medium.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
@@ -807,6 +810,137 @@ TEST(ShardScenario, EveryDriverJoinsAndMovesBytesAtEveryWidth) {
         EXPECT_EQ(r.perf.frames_tx, serial.perf.frames_tx) << where;
       }
     }
+  }
+}
+
+// A formation traces every shard, not only shard 0: each shard records
+// into its own flight recorder (shard 0 into the caller's), the result
+// keeps all of them in shard order, and the metrics merge across them.
+TEST(ShardScenario, EveryShardIsTraced) {
+  ScenarioConfig cfg;
+  cfg.seed = 5;
+  cfg.duration = sec(5);
+  cfg.clients = 4;
+  mob::CityGridConfig city;
+  city.width_m = 750.0;
+  city.height_m = 750.0;
+  city.aps_per_km2 = 150.0;
+  cfg.city = city;
+  cfg.shards = 2;
+  auto tracer = std::make_shared<obs::Tracer>(
+      obs::TracerConfig{.capacity = 1024, .seed = 5});
+  const obs::Tracer* given = tracer.get();
+  const ScenarioResult r = detail::execute_scenario(cfg, std::move(tracer));
+  ASSERT_EQ(r.traces.size(), 2u);
+  EXPECT_EQ(r.traces[0].get(), given);
+  double recorded = 0.0;
+  for (const auto& t : r.traces) {
+    EXPECT_GT(t->recorded(), 0u);
+    EXPECT_EQ(t->capacity(), 1024u);
+    EXPECT_EQ(t->seed(), 5u);
+    recorded += static_cast<double>(t->recorded());
+  }
+  EXPECT_DOUBLE_EQ(r.metrics.value("obs.recorded"), recorded);
+  EXPECT_DOUBLE_EQ(r.metrics.value("shard.width"), 2.0);
+}
+
+/// Two-sided p-value of the Mann–Whitney U test of `a` against `b`: the
+/// normal approximation with the tie-corrected variance, which is accurate
+/// for samples of ~20 or more.
+double mann_whitney_p(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  struct Obs {
+    double x;
+    bool from_a;
+  };
+  std::vector<Obs> all;
+  for (double x : a) all.push_back({x, true});
+  for (double x : b) all.push_back({x, false});
+  std::sort(all.begin(), all.end(),
+            [](const Obs& l, const Obs& r) { return l.x < r.x; });
+  // Midranks over tie groups; sum of t^3 - t feeds the variance correction.
+  const double n = static_cast<double>(all.size());
+  double rank_sum_a = 0.0, tie_term = 0.0;
+  for (std::size_t i = 0; i < all.size();) {
+    std::size_t j = i;
+    while (j < all.size() && all[j].x == all[i].x) ++j;
+    const double t = static_cast<double>(j - i);
+    const double midrank = (static_cast<double>(i + j) + 1.0) / 2.0;
+    for (std::size_t k = i; k < j; ++k) {
+      if (all[k].from_a) rank_sum_a += midrank;
+    }
+    tie_term += t * t * t - t;
+    i = j;
+  }
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  const double u = rank_sum_a - na * (na + 1.0) / 2.0;
+  const double mean = na * nb / 2.0;
+  const double var =
+      na * nb / 12.0 * ((n + 1.0) - tie_term / (n * (n - 1.0)));
+  if (var <= 0.0) return 1.0;  // every observation tied: no evidence
+  const double z = (u - mean) / std::sqrt(var);
+  return std::erfc(std::fabs(z) / std::sqrt(2.0));
+}
+
+TEST(ShardStats, MannWhitneySeparatesShiftedSamplesOnly) {
+  std::vector<double> a, b, shifted;
+  for (int i = 0; i < 30; ++i) {
+    a.push_back(i);
+    b.push_back(i + 0.5);
+    shifted.push_back(i + 20.0);
+  }
+  EXPECT_GT(mann_whitney_p(a, b), 0.5);
+  EXPECT_LT(mann_whitney_p(a, shifted), 1e-4);
+  EXPECT_DOUBLE_EQ(mann_whitney_p({1, 1, 1}, {1, 1, 1}), 1.0);
+}
+
+// Sharded formations may not reproduce the serial bytes, but they must
+// describe the same system: over a fixed set of seeds of a small city
+// cell, the per-run throughput, join and connectivity distributions at 2
+// and 4 shards must each be indistinguishable from serial under a
+// two-sided Mann–Whitney test. The seeds are fixed, so the verdict is
+// deterministic; alpha = 0.01 per comparison.
+TEST(ShardScenario, WidthsAreStatisticallyEquivalentToSerial) {
+  constexpr int kSeeds = 30;
+  constexpr double kAlpha = 0.01;
+  ScenarioConfig base;
+  base.duration = sec(10);
+  base.clients = 6;
+  base.speed_mps = 10.0;
+  mob::CityGridConfig city;
+  city.width_m = 750.0;
+  city.height_m = 750.0;
+  city.aps_per_km2 = 150.0;
+  base.city = city;
+
+  struct Samples {
+    std::vector<double> throughput, joins, connectivity;
+  };
+  std::map<int, Samples> by_width;
+  for (const int shards : {1, 2, 4}) {
+    Samples& out = by_width[shards];
+    for (int i = 0; i < kSeeds; ++i) {
+      ScenarioConfig cfg = base;
+      cfg.seed = 1000 + static_cast<std::uint64_t>(i);
+      cfg.shards = shards;
+      const ScenarioResult r = detail::execute_scenario(cfg, nullptr);
+      ASSERT_TRUE(r.completed);
+      out.throughput.push_back(r.avg_throughput_kBps);
+      out.joins.push_back(static_cast<double>(r.joins_attempted));
+      out.connectivity.push_back(r.connectivity);
+    }
+  }
+  const Samples& serial = by_width[1];
+  for (const int shards : {2, 4}) {
+    const Samples& s = by_width[shards];
+    const std::string where = "shards " + std::to_string(shards);
+    EXPECT_GT(mann_whitney_p(s.throughput, serial.throughput), kAlpha)
+        << where << " throughput";
+    EXPECT_GT(mann_whitney_p(s.joins, serial.joins), kAlpha)
+        << where << " joins attempted";
+    EXPECT_GT(mann_whitney_p(s.connectivity, serial.connectivity), kAlpha)
+        << where << " connectivity";
   }
 }
 
