@@ -4,8 +4,9 @@
 # grid-vs-brute-force digest pin — which also asserts the grid wins on
 # wall-clock — the sharded-formation digest pin and its 4-shard speedup
 # floor, the sim-as-a-service robustness pin, the trace-replay re-ingest
-# pin, and the faulted shard-axis digest pin), then the event engine's
-# tests under AddressSanitizer + UBSan, then the shard engine and the
+# pin, and the faulted shard-axis digest pin), then the event engine's,
+# the scenario kernel's and the server's tests under AddressSanitizer +
+# UBSan, then the shard engine and the
 # differential fault fuzz under ThreadSanitizer. Everything a PR must keep
 # green.
 #
@@ -33,16 +34,24 @@ cmake --build "$BUILD_DIR" -j
 # shards=1 identity, width-invariant fault counts).
 "$BUILD_DIR"/bench/ext_fault_resilience --shards 1,2,4
 
-# Event engine under AddressSanitizer + UndefinedBehaviorSanitizer: the
-# event queue's near tier links its slot lists through slab indices, so an
-# out-of-bounds or stale index must fail the gate, not corrupt a run. A
-# dedicated tree builds only the engine's tests and the hot-path contract.
+# Event engine and scenario kernel under AddressSanitizer +
+# UndefinedBehaviorSanitizer: the event queue's near tier links its slot
+# lists through slab indices, so an out-of-bounds or stale index must fail
+# the gate, not corrupt a run; the scenario kernel's objects (rigs,
+# harnesses, recorders, injectors, fabric and testbeds) must outlive every
+# use at every width, and the server must free what each request built. A
+# dedicated tree builds only these tests and the hot-path contract.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DSPIDER_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j --target test_sim test_sweep test_modelcheck test_perf_hotpath
-for t in test_sim test_sweep test_modelcheck test_perf_hotpath; do
+cmake --build "$ASAN_DIR" -j --target test_sim test_sweep test_modelcheck \
+  test_perf_hotpath test_shard test_fault_shard test_serve
+for t in test_sim test_sweep test_modelcheck test_perf_hotpath test_shard \
+         test_serve; do
   UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR"/tests/$t
 done
+# The differential fault fuzz at the TSan leg's trimmed seed count.
+SPIDER_FAULT_FUZZ_SEEDS=10 UBSAN_OPTIONS=halt_on_error=1 \
+  "$ASAN_DIR"/tests/test_fault_shard
 
 # Sharded engine under ThreadSanitizer: the lockstep coordinator, the
 # mailbox parity protocol, and the formation fabric must be data-race
