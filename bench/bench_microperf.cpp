@@ -15,7 +15,7 @@
 #include "core/spider_driver.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/experiment.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "trace/testbed.hpp"
 #include "util/random.hpp"
 
@@ -168,8 +168,9 @@ void BM_TownScenarioMinute(benchmark::State& state) {
 }
 BENCHMARK(BM_TownScenarioMinute)->Unit(benchmark::kMillisecond);
 
-void BM_SweepRunnerScaling(benchmark::State& state) {
-  // Eight one-minute scenarios through the sweep runner at various --jobs.
+void BM_ScenarioRunnerScaling(benchmark::State& state) {
+  // Eight one-minute scenarios through ScenarioRunner::run_many at various
+  // --jobs.
   // On a multi-core host wall time should drop roughly linearly with jobs
   // until physical cores run out; results stay in submission order.
   const auto jobs = static_cast<std::size_t>(state.range(0));
@@ -183,10 +184,10 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
     cfg.spider.mode = core::OperationMode::single(6);
     configs.push_back(cfg);
   }
-  trace::SweepRunner runner({.jobs = jobs});
+  const trace::ScenarioRunner runner({.jobs = jobs});
   std::uint64_t popped = 0;
   for (auto _ : state) {
-    const auto results = runner.run(configs);
+    const auto results = runner.run_many(configs);
     for (const auto& r : results) popped += r.perf.events_popped;
     benchmark::DoNotOptimize(results.front().total_bytes);
   }
@@ -194,7 +195,7 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
   state.counters["events_popped"] =
       static_cast<double>(popped) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_SweepRunnerScaling)
+BENCHMARK(BM_ScenarioRunnerScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -271,7 +272,7 @@ int run_smoke(const char* json_path) {
   const double fan_secs =
       std::chrono::duration<double>(Clock::now() - fan_t0).count();
   sim::PerfCounters fan_perf = sim.perf();
-  medium.add_perf(fan_perf);
+  fan_perf.merge_shard(medium.perf());
   const double fanout_per_sec =
       static_cast<double>(fan_perf.frames_fanout) / fan_secs;
   if (fan_perf.callbacks_heap != 0) {

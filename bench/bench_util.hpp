@@ -20,7 +20,7 @@
 #include "sim/cancel.hpp"
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -100,7 +100,9 @@ struct FlagSpec {
 /// across --jobs settings, and any --trace-* flag implies tracing without
 /// touching stdout.
 struct SweepCli {
-  trace::SweepOptions sweep;
+  /// Runner options the flags fill in. Unlike RunnerOptions' own default
+  /// of one worker, a bench without --jobs uses every hardware thread.
+  trace::RunnerOptions sweep{.jobs = 0};
   std::string perf_csv;
 
   /// Validates every config up front; malformed sweeps print the issues
@@ -124,7 +126,7 @@ struct SweepCli {
       const std::vector<trace::ScenarioConfig>& configs) const {
     check(configs);
     std::vector<trace::ScenarioResult> results =
-        trace::SweepRunner(sweep).run(configs);
+        trace::ScenarioRunner(sweep).run_many(configs);
     exit_if_interrupted(results);
     return results;
   }
@@ -132,8 +134,10 @@ struct SweepCli {
   std::vector<trace::ScenarioResult> run_averaged(
       const std::vector<trace::ScenarioConfig>& configs, int runs) const {
     check(configs);
+    trace::RunnerOptions options = sweep;
+    options.repetitions = runs;
     std::vector<trace::ScenarioResult> results =
-        trace::SweepRunner(sweep).run_averaged(configs, runs);
+        trace::ScenarioRunner(options).run_many_averaged(configs);
     exit_if_interrupted(results);
     return results;
   }

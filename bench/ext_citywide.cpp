@@ -14,7 +14,7 @@
 // radio_candidates, which acceptance requires to reach >= 5x at 5000 APs.
 //
 // Stdout is deterministic (counters and bytes only); wall-clock rates go
-// to the JSON file (--json, default BENCH_citywide.json) and --perf-csv.
+// to the JSON file (written only with --json PATH) and --perf-csv.
 // --assert-wall additionally fails the run (stderr diagnostics, nonzero
 // exit) if grid mode loses to brute force on wall-clock at any cell beyond
 // a noise tolerance — the regression guard for the grid hot path.
@@ -84,31 +84,38 @@ std::string digest(const trace::ScenarioResult& r) {
   return buf;
 }
 
-constexpr const char* kShardPhases[] = {"busy_s", "wait_s", "drain_s"};
+/// Each shard's wall-clock split (ShardedSimulator::shard_time), by phase.
+struct ShardPhase {
+  const char* name;
+  sim::PerShardSeconds sim::PerfCounters::*seconds;
+};
+constexpr ShardPhase kShardPhases[] = {
+    {"busy_s", &sim::PerfCounters::shard_busy_s},
+    {"wait_s", &sim::PerfCounters::shard_wait_s},
+    {"drain_s", &sim::PerfCounters::shard_drain_s}};
 
-/// One phase of each shard's wall-clock split (ShardedSimulator::
-/// shard_time, exported as shard.<s>.<phase> metrics), in shard order
-/// joined by `sep`; empty for a serial run.
+/// One phase of each shard's split, in shard order joined by `sep`; empty
+/// for a serial run.
 std::string shard_phase_list(const trace::ScenarioResult& r,
-                             const char* phase, const char* sep) {
+                             const ShardPhase& phase, const char* sep) {
   std::string out;
+  if (r.perf.shards < 2) return out;
   char buf[32];
-  for (int s = 0;; ++s) {
-    const std::string name = "shard." + std::to_string(s) + "." + phase;
-    if (!r.metrics.contains(name)) return out;
+  for (std::size_t s = 0; s < r.perf.shards; ++s) {
     std::snprintf(buf, sizeof buf, "%s%.4f", s == 0 ? "" : sep,
-                  r.metrics.value(name));
+                  (r.perf.*phase.seconds)[s]);
     out += buf;
   }
+  return out;
 }
 
 /// "; busy_s 0.1012/0.0981 wait_s ... drain_s ..." for stderr diagnostics.
 std::string shard_time_split(const trace::ScenarioResult& r) {
   std::string out;
-  for (const char* phase : kShardPhases) {
+  for (const ShardPhase& phase : kShardPhases) {
     const std::string list = shard_phase_list(r, phase, "/");
     if (list.empty()) return "";
-    out += std::string(out.empty() ? ";" : "") + " " + phase + " " + list;
+    out += std::string(out.empty() ? ";" : "") + " " + phase.name + " " + list;
   }
   return out;
 }
@@ -116,9 +123,9 @@ std::string shard_time_split(const trace::ScenarioResult& r) {
 /// "\"busy_s\": [..], \"wait_s\": [..], \"drain_s\": [..]" for the JSON.
 std::string shard_time_json(const trace::ScenarioResult& r) {
   std::string out;
-  for (const char* phase : kShardPhases) {
-    out += std::string(out.empty() ? "" : ", ") + "\"" + phase + "\": [" +
-           shard_phase_list(r, phase, ", ") + "]";
+  for (const ShardPhase& phase : kShardPhases) {
+    out += std::string(out.empty() ? "" : ", ") + "\"" + phase.name +
+           "\": [" + shard_phase_list(r, phase, ", ") + "]";
   }
   return out;
 }
@@ -153,12 +160,12 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  std::string json_path = "BENCH_citywide.json";
+  std::string json_path;
   std::vector<int> shard_counts;
   auto cli = bench::parse_sweep_cli(
       static_cast<int>(args.size()), args.data(),
       {{"--json", "PATH",
-        "write per-cell wall-clock metrics as JSON (default " + json_path + ")",
+        "write per-cell wall-clock metrics as JSON (none unless given)",
         [&json_path](const std::string& v) { json_path = v; }},
        {"--shards", "LIST",
         "comma-separated shard counts for the intra-run parallelism axis",
@@ -203,8 +210,8 @@ int main(int argc, char** argv) {
     opts1.jobs = 1;
     auto opts8 = cli.sweep;
     opts8.jobs = 8;
-    serial = trace::SweepRunner(opts1).run(configs);
-    const auto wide = trace::SweepRunner(opts8).run(configs);
+    serial = trace::ScenarioRunner(opts1).run_many(configs);
+    const auto wide = trace::ScenarioRunner(opts8).run_many(configs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (digest(serial[i]) != digest(wide[i]) ||
           digest(serial[i]) != digest(results[i])) {
@@ -308,16 +315,16 @@ int main(int argc, char** argv) {
         city_config(shard_cell, phy::NeighborIndex::kGrid, duration);
     auto serial_opts = cli.sweep;
     serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
+    const trace::ScenarioRunner shard_runner(serial_opts);
     std::vector<trace::ScenarioResult> serial_runs;
     std::vector<std::vector<trace::ScenarioResult>> width_runs(
         shard_counts.size());
     for (int round = 0; round < kShardRounds; ++round) {
-      serial_runs.push_back(shard_runner.run({base_cfg})[0]);
+      serial_runs.push_back(shard_runner.run_one(base_cfg));
       for (std::size_t w = 0; w < shard_counts.size(); ++w) {
         trace::ScenarioConfig cfg = base_cfg;
         cfg.shards = shard_counts[w];
-        width_runs[w].push_back(shard_runner.run({cfg})[0]);
+        width_runs[w].push_back(shard_runner.run_one(cfg));
       }
     }
     const trace::ScenarioResult& baseline = serial_runs[0];
@@ -408,55 +415,57 @@ int main(int argc, char** argv) {
   }
 
   // Host-dependent rates live in files only.
-  if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(out, "{\n  \"host\": %s,\n  \"cells\": [\n",
-                 bench::host_json().c_str());
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      for (const bool is_grid : {true, false}) {
-        const trace::ScenarioResult& r = results[2 * c + (is_grid ? 0 : 1)];
+  if (!json_path.empty()) {
+    if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
+      std::fprintf(out, "{\n  \"host\": %s,\n  \"cells\": [\n",
+                   bench::host_json().c_str());
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        for (const bool is_grid : {true, false}) {
+          const trace::ScenarioResult& r = results[2 * c + (is_grid ? 0 : 1)];
+          std::fprintf(
+              out,
+              "    {\"aps\": %zu, \"clients\": %d, \"index\": \"%s\", "
+              "\"radio_candidates\": %llu, \"grid_cells_scanned\": %llu, "
+              "\"grid_rebuckets\": %llu, \"frames_tx\": %llu, "
+              "\"wall_s\": %.3f, \"sim_per_wall\": %.2f}%s\n",
+              cells[c].aps, cells[c].clients, is_grid ? "grid" : "brute",
+              static_cast<unsigned long long>(r.perf.radio_candidates),
+              static_cast<unsigned long long>(r.perf.grid_cells_scanned),
+              static_cast<unsigned long long>(r.perf.grid_rebuckets),
+              static_cast<unsigned long long>(r.perf.frames_tx),
+              r.perf.wall_seconds, r.perf.sim_rate(),
+              (2 * c + (is_grid ? 0 : 1)) + 1 == results.size() ? "" : ",");
+        }
+      }
+      std::fprintf(out, "  ],\n  \"shard_cells\": [\n");
+      for (std::size_t i = 0; i < shard_rows.size(); ++i) {
+        const ShardRow& row = shard_rows[i];
         std::fprintf(
             out,
-            "    {\"aps\": %zu, \"clients\": %d, \"index\": \"%s\", "
-            "\"radio_candidates\": %llu, \"grid_cells_scanned\": %llu, "
-            "\"grid_rebuckets\": %llu, \"frames_tx\": %llu, "
-            "\"wall_s\": %.3f, \"sim_per_wall\": %.2f}%s\n",
-            cells[c].aps, cells[c].clients, is_grid ? "grid" : "brute",
-            static_cast<unsigned long long>(r.perf.radio_candidates),
-            static_cast<unsigned long long>(r.perf.grid_cells_scanned),
-            static_cast<unsigned long long>(r.perf.grid_rebuckets),
-            static_cast<unsigned long long>(r.perf.frames_tx),
-            r.perf.wall_seconds, r.perf.sim_rate(),
-            (2 * c + (is_grid ? 0 : 1)) + 1 == results.size() ? "" : ",");
+            "    {\"shards\": %d, \"serial_wall_s\": %.3f, \"wall_s\": %.3f, "
+            "\"speedup\": %.2f, \"speedup_min\": %.2f, \"speedup_max\": "
+            "%.2f, \"windows\": %llu, \"messages\": %llu, "
+            "\"migrations\": %llu, %s, \"deterministic\": %s, "
+            "\"matches_serial\": %s}%s\n",
+            row.shards, serial_wall, row.result.perf.wall_seconds, row.speedup,
+            row.speedup_lo, row.speedup_hi,
+            static_cast<unsigned long long>(row.result.perf.shard_windows),
+            static_cast<unsigned long long>(row.result.perf.shard_messages),
+            static_cast<unsigned long long>(row.result.perf.shard_migrations),
+            shard_time_json(row.result).c_str(),
+            row.deterministic ? "true" : "false",
+            row.matches_serial ? "true" : "false",
+            i + 1 == shard_rows.size() ? "" : ",");
       }
+      std::fprintf(out,
+                   "  ],\n  \"pass\": %s,\n  \"wall_pass\": %s,\n"
+                   "  \"shard_pass\": %s\n}\n",
+                   ok ? "true" : "false", wall_ok ? "true" : "false",
+                   shards_ok ? "true" : "false");
+      std::fclose(out);
+    } else {
+      std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
     }
-    std::fprintf(out, "  ],\n  \"shard_cells\": [\n");
-    for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-      const ShardRow& row = shard_rows[i];
-      std::fprintf(
-          out,
-          "    {\"shards\": %d, \"serial_wall_s\": %.3f, \"wall_s\": %.3f, "
-          "\"speedup\": %.2f, \"speedup_min\": %.2f, \"speedup_max\": "
-          "%.2f, \"windows\": %.0f, \"messages\": %.0f, "
-          "\"migrations\": %.0f, %s, \"deterministic\": %s, "
-          "\"matches_serial\": %s}%s\n",
-          row.shards, serial_wall, row.result.perf.wall_seconds, row.speedup,
-          row.speedup_lo, row.speedup_hi,
-          row.result.metrics.value("shard.windows"),
-          row.result.metrics.value("shard.messages"),
-          row.result.metrics.value("shard.migrations"),
-          shard_time_json(row.result).c_str(),
-          row.deterministic ? "true" : "false",
-          row.matches_serial ? "true" : "false",
-          i + 1 == shard_rows.size() ? "" : ",");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"pass\": %s,\n  \"wall_pass\": %s,\n"
-                 "  \"shard_pass\": %s\n}\n",
-                 ok ? "true" : "false", wall_ok ? "true" : "false",
-                 shards_ok ? "true" : "false");
-    std::fclose(out);
-  } else {
-    std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   }
   bench::maybe_write_perf_csv(cli, results);
   return ok && shards_ok && (wall_ok || !assert_wall) ? 0 : 1;

@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
 
     auto serial_opts = cli.sweep;
     serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
-    const auto baseline = shard_runner.run({base_cfg})[0];
+    const trace::ScenarioRunner shard_runner(serial_opts);
+    const auto baseline = shard_runner.run_one(base_cfg);
     const double serial_wall = baseline.perf.wall_seconds;
 
     std::printf("\nshard axis, faulted spider cell (serial: %llu faults, "
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     for (const int s : shard_counts) {
       trace::ScenarioConfig cfg = base_cfg;
       cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
+      const auto pair = shard_runner.run_many({cfg, cfg});
       const bool deterministic = bench::fault_digest(pair[0]) == bench::fault_digest(pair[1]);
       const bool matches_serial =
           s != 1 || bench::fault_digest(pair[0]) == bench::fault_digest(baseline);

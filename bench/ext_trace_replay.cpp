@@ -80,7 +80,11 @@ void check_reingest(const tracein::OccupancyTimeline& timeline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path = "data/traces/sample_occupancy.csv";
+  // The checked-in sample by default, resolved against the source tree so
+  // the bench runs from any directory. Stdout names it relative to the
+  // tree, so the output does not depend on where the tree lives.
+  std::string trace_name = "data/traces/sample_occupancy.csv";
+  std::string trace_path = std::string(SPIDER_SOURCE_DIR) + "/" + trace_name;
   std::string resilience_csv;
   std::string write_sample;
   tracein::ReplayOptions replay;
@@ -89,7 +93,7 @@ int main(int argc, char** argv) {
   const auto cli = bench::parse_sweep_cli(
       argc, argv,
       {{"--trace", "PATH", "occupancy recording to replay (CSV or JSONL)",
-        [&](const std::string& v) { trace_path = v; }},
+        [&](const std::string& v) { trace_name = trace_path = v; }},
        {"--shards", "LIST",
         "comma-separated shard counts for the replayed-cell shard axis",
         [&shard_counts](const std::string& v) {
@@ -138,7 +142,7 @@ int main(int argc, char** argv) {
   }
   std::printf("trace: %zu samples, %zu channels, %.0f s span (%s)\n",
               timeline->size(), timeline->channels().size(),
-              to_seconds(timeline->span()), trace_path.c_str());
+              to_seconds(timeline->span()), trace_name.c_str());
   check_reingest(*timeline, replay);
   if (!write_sample.empty() &&
       !tracein::write_occupancy_csv(write_sample, *timeline)) {
@@ -222,8 +226,8 @@ int main(int argc, char** argv) {
     const trace::ScenarioConfig& base_cfg = configs[1];
     auto serial_opts = cli.sweep;
     serial_opts.jobs = 1;  // walls must not be inflated by pool neighbors
-    const trace::SweepRunner shard_runner(serial_opts);
-    const auto baseline = shard_runner.run({base_cfg})[0];
+    const trace::ScenarioRunner shard_runner(serial_opts);
+    const auto baseline = shard_runner.run_one(base_cfg);
     const double serial_wall = baseline.perf.wall_seconds;
 
     std::printf("\nshard axis, spider +trace cell (serial: %llu faults, "
@@ -236,7 +240,7 @@ int main(int argc, char** argv) {
     for (const int s : shard_counts) {
       trace::ScenarioConfig cfg = base_cfg;
       cfg.shards = s;
-      const auto pair = shard_runner.run({cfg, cfg});
+      const auto pair = shard_runner.run_many({cfg, cfg});
       const bool deterministic =
           bench::fault_digest(pair[0]) == bench::fault_digest(pair[1]);
       const bool matches_serial =

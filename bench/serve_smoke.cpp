@@ -8,7 +8,7 @@
 //      hard-kills one server;
 //   4. resumes from the journal against the surviving server;
 //   5. verifies the merged campaign statistics are byte-identical to a
-//      serial in-process SweepRunner pass, and that graceful shutdown
+//      serial in-process sweep, and that graceful shutdown
 //      leaves both servers stopped.
 //
 // Exits non-zero on any divergence. --seeds N scales the campaign,

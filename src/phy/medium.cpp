@@ -148,11 +148,10 @@ Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
       slack_m_(kGridSlackFraction * propagation_.config().range_m),
       // Correctness of the 3x3 neighborhood needs cell >= range + slack (a
       // receiver at exactly range_m, bucketed up to `slack` outside its
-      // cell, must still land no further than one cell away); clamp
-      // explicit overrides up, and keep a floor for degenerate zero-range
-      // propagation configs so cell_coord never divides by zero.
-      cell_m_(std::max({config.grid_cell_m,
-                        propagation_.config().range_m + slack_m_, 1e-3})) {
+      // cell, must still land no further than one cell away); the floor
+      // keeps degenerate zero-range propagation configs from dividing by
+      // zero in cell_coord.
+      cell_m_(std::max(propagation_.config().range_m + slack_m_, 1e-3)) {
   last_refresh_.fill(Time{-1});
 }
 
@@ -328,7 +327,7 @@ void Medium::refresh_mobile_buckets(wire::Channel channel) {
     // cell and aborts on a corrupt one.
     grid_remove(channel, slot);
     grid_insert(channel, slot, pos);
-    ++grid_rebuckets_;
+    ++perf_.grid_rebuckets;
   }
 }
 
@@ -339,7 +338,7 @@ void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
   const std::int32_t cy = cell_coord(pos.y);
   // Occupied cells among the 9 probes; the bitmap answers empty/absent ones
   // without a table walk. Only occupied probes count toward
-  // grid_cells_scanned_ (the cost metric of the merge below).
+  // perf_.grid_cells_scanned (the cost metric of the merge below).
   const CellSoA* lists[9];
   std::size_t heads[9];
   int n = 0;
@@ -354,7 +353,7 @@ void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
       ++n;
     }
   }
-  grid_cells_scanned_ += static_cast<std::uint64_t>(n);
+  perf_.grid_cells_scanned += static_cast<std::uint64_t>(n);
   if (n == 0) return;
   if (n == 1) {
     const CellSoA& c = *lists[0];
@@ -537,7 +536,7 @@ Time Medium::airtime(std::size_t bytes, BitRate rate) {
 }
 
 void Medium::transmit(Radio& sender, wire::Frame frame) {
-  ++frames_sent_;
+  ++perf_.frames_tx;
   frame.channel = sender.channel();
   const Position tx_pos = sender.position();
   if (shard_link_ != nullptr) {
@@ -592,7 +591,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
   // wrap to ~2^64).
   const std::size_t self = sender_slot != kNoSenderSlot ? 1 : 0;
   if (count < self + 1) return;  // nobody else in earshot
-  candidates_examined_ += count - self;
+  perf_.radio_candidates += count - self;
 
   const Time arrival = airtime(frame.size_bytes, rate);
   const double impairment = channel_impairment(channel);
@@ -644,7 +643,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
 
     const double rssi = propagation_.rssi_dbm_at(dist);
     ++bodies_[body_idx].refs;
-    ++fanout_scheduled_;
+    ++perf_.frames_fanout;
     // Each retry costs roughly one more airtime before the frame lands,
     // measured from the *decision* time t0 — for a local transmit that is
     // now, for a remote injection the sender's original timestamp, so the

@@ -50,11 +50,6 @@ inline constexpr double kGridSlackFraction = 0.1;
 /// the medium's lifetime — differential tests build one medium per mode.
 struct MediumConfig {
   NeighborIndex neighbor_index = NeighborIndex::kGrid;
-  /// Grid cell edge in meters. 0 derives it as range + slack (the mobile
-  /// hysteresis margin, kGridSlackFraction of the range); explicit values
-  /// below that are clamped up to it (correctness of the 3x3 neighborhood
-  /// requires cell >= range + slack, DESIGN.md §10).
-  double grid_cell_m = 0.0;
   /// 802.11 ARQ retry budget for unicast frames to their addressee.
   int retry_limit = kMediumDefaultRetryLimit;
 };
@@ -127,7 +122,7 @@ class Medium {
   sim::Simulator& simulator() { return sim_; }
   int retry_limit() const { return config_.retry_limit; }
   const MediumConfig& config() const { return config_; }
-  /// Grid cell edge actually in use (range + slack unless overridden).
+  /// Grid cell edge: range + slack (DESIGN.md §10).
   double grid_cell_m() const { return cell_m_; }
   /// Mobile bucket hysteresis in meters (kGridSlackFraction of the range).
   double grid_slack_m() const { return slack_m_; }
@@ -143,7 +138,7 @@ class Medium {
   /// Airtime of a frame of `bytes` at `rate` (PLCP preamble + payload).
   static Time airtime(std::size_t bytes, BitRate rate);
 
-  std::uint64_t frames_sent() const { return frames_sent_; }
+  std::uint64_t frames_sent() const { return perf_.frames_tx; }
   /// Frames that actually reached a receiver's upcall (counted at delivery
   /// time, not when scheduled — a receiver that detaches or retunes while
   /// the frame is in the air is a drop, not a delivery).
@@ -152,25 +147,20 @@ class Medium {
   /// or was mid-reset when the frame arrived.
   std::uint64_t frames_dropped_at_rx() const { return frames_dropped_at_rx_; }
   /// Per-receiver deliveries scheduled (fan-out actually put on the wire).
-  std::uint64_t fanout_scheduled() const { return fanout_scheduled_; }
+  std::uint64_t fanout_scheduled() const { return perf_.frames_fanout; }
   /// Same-channel candidate radios examined across all transmits.
-  std::uint64_t candidates_examined() const { return candidates_examined_; }
+  std::uint64_t candidates_examined() const { return perf_.radio_candidates; }
   /// *Occupied* grid cells probed by neighborhood queries (at most 9 per
   /// grid-mode transmit; empty cells are skipped by the occupancy bitmap
   /// and no longer counted; 0 under brute force).
-  std::uint64_t grid_cells_scanned() const { return grid_cells_scanned_; }
+  std::uint64_t grid_cells_scanned() const { return perf_.grid_cells_scanned; }
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
-  std::uint64_t grid_rebuckets() const { return grid_rebuckets_; }
+  std::uint64_t grid_rebuckets() const { return perf_.grid_rebuckets; }
 
-  /// Folds the medium's fan-out counters into engine perf counters.
-  void add_perf(sim::PerfCounters& perf) const {
-    perf.frames_tx += frames_sent_;
-    perf.frames_fanout += fanout_scheduled_;
-    perf.radio_candidates += candidates_examined_;
-    perf.grid_cells_scanned += grid_cells_scanned_;
-    perf.grid_rebuckets += grid_rebuckets_;
-  }
+  /// The medium's fan-out counters, kept in place in a run-counter record
+  /// (every other field stays zero); the run merges it per shard.
+  const sim::PerfCounters& perf() const { return perf_; }
 
   // --- sharded formations (DESIGN.md §12) ------------------------------
   // With a ShardLink installed this medium is one shard of a partitioned
@@ -462,13 +452,9 @@ class Medium {
   std::deque<BodyCell> bodies_;
   std::vector<std::uint32_t> free_bodies_;
 
-  std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t frames_dropped_at_rx_ = 0;
-  std::uint64_t fanout_scheduled_ = 0;
-  std::uint64_t candidates_examined_ = 0;
-  std::uint64_t grid_cells_scanned_ = 0;
-  std::uint64_t grid_rebuckets_ = 0;
+  sim::PerfCounters perf_;
 };
 
 }  // namespace spider::phy

@@ -18,7 +18,7 @@ class Medium;
 class Radio;
 
 /// Upper bound on formation width (ScenarioConfig::validate enforces it).
-inline constexpr int kMaxShards = 64;
+inline constexpr int kMaxShards = sim::kMaxShards;
 
 /// One contiguous x-stripe of a channel. A stripe covers [previous stripe's
 /// x1, x1); the last stripe of a channel has x1 = +infinity. Stripe lists

@@ -106,7 +106,6 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     tb_config.seed = S == 1 ? config.seed : shard_seed(config.seed, s);
     tb_config.propagation = config.propagation;
     tb_config.medium.neighbor_index = config.neighbor_index;
-    tb_config.medium.grid_cell_m = config.grid_cell_m;
     beds.push_back(std::make_unique<Testbed>(tb_config));
     beds.back()->sim.seed_ids(static_cast<std::uint64_t>(s) << 48);
     mediums.push_back(&beds.back()->medium);
@@ -470,67 +469,47 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   result.recovery_times = resilience_total.time_to_recover();
   digest_join_log(result);
 
-  // Exact-sum aggregation: event totals add across shards, heap peaks add
-  // (the heaps coexist), the simulated horizon is the max — summing it
-  // would erase the speedup sim_per_wall exists to measure.
-  std::uint64_t cells = 0, rebuckets = 0;
+  // Each shard's simulator and medium records merge by their declared
+  // shard rules (sim::PerfCounters); the coordinator then stamps the
+  // formation counters and the wall clock once.
   for (int s = 0; s < S; ++s) {
-    const sim::PerfCounters shard_perf =
-        sims[static_cast<std::size_t>(s)]->perf();
-    if (s == 0) {
-      result.perf = shard_perf;
-    } else {
-      result.perf.merge_shard(shard_perf);
+    result.perf.merge_shard(sims[static_cast<std::size_t>(s)]->perf());
+    result.perf.merge_shard(mediums[static_cast<std::size_t>(s)]->perf());
+  }
+  result.perf.shards = width;
+  if (bus) {
+    result.perf.shard_windows = bus->windows_run();
+    result.perf.shard_messages = bus->messages_sent();
+    result.perf.shard_migrations = fabric->migrations();
+    for (int s = 0; s < S; ++s) {
+      const sim::ShardedSimulator::ShardTime t = bus->shard_time(s);
+      result.perf.shard_busy_s[static_cast<std::size_t>(s)] = t.busy_s;
+      result.perf.shard_wait_s[static_cast<std::size_t>(s)] = t.wait_s;
+      result.perf.shard_drain_s[static_cast<std::size_t>(s)] = t.drain_s;
     }
-    const phy::Medium& medium = *mediums[static_cast<std::size_t>(s)];
-    medium.add_perf(result.perf);
-    cells += medium.grid_cells_scanned();
-    rebuckets += medium.grid_rebuckets();
   }
   result.perf.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   if (!tracers.empty()) {
-    // Per-shard metrics merge like pooled runs (counters sum, gauges max);
-    // every shard's recorder is kept, in shard order.
+    // The traced export view: every shard's flight-recorder metrics merged
+    // like pooled runs (counters sum, gauges max), plus the record's
+    // exported counters. Every shard's recorder is kept, in shard order.
     for (int s = 0; s < S; ++s) {
       sims[static_cast<std::size_t>(s)]->set_tracer(nullptr);
-      const obs::Tracer& t = *tracers[static_cast<std::size_t>(s)];
-      if (s == 0) {
-        result.metrics = t.metrics();
-      } else {
-        result.metrics.merge(t.metrics());
-      }
+      result.metrics.merge(tracers[static_cast<std::size_t>(s)]->metrics());
     }
-    // Medium-side spatial-grid counters ride along with the trace-derived
-    // metrics so sinks see them next to the per-layer event counts.
-    result.metrics.count("phy.grid_cells_scanned", cells);
-    result.metrics.count("phy.grid_rebuckets", rebuckets);
+    result.perf.for_each_metric(
+        [&metrics = result.metrics](const std::string& name, double value,
+                                    bool gauge) {
+          if (gauge) {
+            metrics.gauge(name, value);
+          } else {
+            metrics.count(name, value);
+          }
+        });
     result.traces.assign(tracers.begin(), tracers.end());
-  }
-  if (bus) {
-    // Formation diagnostics ride every sharded result, traced or not (the
-    // perf CSV reads shard.width). Width is a gauge so pooled repetitions
-    // keep the formation width instead of summing it; the volume counters
-    // pool into fleet totals like every other counter.
-    result.metrics.gauge("shard.width", static_cast<double>(S));
-    result.metrics.count("shard.windows",
-                         static_cast<double>(bus->windows_run()));
-    result.metrics.count("shard.messages",
-                         static_cast<double>(bus->messages_sent()));
-    result.metrics.count("shard.migrations",
-                         static_cast<double>(fabric->migrations()));
-    // Where each shard's wall-clock went (busy / barrier wait / drain +
-    // hooks, seconds). Host-dependent, so no stdout prints them. Counters:
-    // pooled repetitions add the seconds of the same shard index.
-    for (int s = 0; s < S; ++s) {
-      const sim::ShardedSimulator::ShardTime t = bus->shard_time(s);
-      const std::string prefix = "shard." + std::to_string(s) + ".";
-      result.metrics.count(prefix + "busy_s", t.busy_s);
-      result.metrics.count(prefix + "wait_s", t.wait_s);
-      result.metrics.count(prefix + "drain_s", t.drain_s);
-    }
   }
   return result;
 }

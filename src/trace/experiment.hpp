@@ -68,11 +68,6 @@ struct ScenarioConfig {
   /// the differential-test oracle (results are byte-identical in both
   /// modes — the choice is purely a cost decision).
   phy::NeighborIndex neighbor_index = phy::NeighborIndex::kGrid;
-  /// Explicit grid cell edge in meters (0 derives it from the propagation
-  /// range plus the medium's hysteresis slack). Non-zero values below the
-  /// range are a config error and are rejected by validate(); values
-  /// between range and range + slack are clamped up by the medium.
-  double grid_cell_m = 0.0;
   net::DhcpServerConfig dhcp_server;
   Time backhaul_delay = msec(10);
 

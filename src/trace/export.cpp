@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <ostream>
+#include <type_traits>
 
 #include "obs/sinks.hpp"
 #include "obs/tracer.hpp"
@@ -124,24 +125,25 @@ bool write_resilience_summary_csv(const std::string& path,
 
 void write_perf_csv(std::ostream& os,
                     const std::vector<ScenarioResult>& results) {
-  os << "run,shards,events_popped,events_cancelled,heap_peak,compactions,"
-        "handles_allocated,callbacks_heap,frames_tx,frames_fanout,"
-        "radio_candidates,grid_cells_scanned,grid_rebuckets,"
-        "sim_s,wall_s,sim_per_wall\n";
+  // Columns are the record's declared CSV columns in declaration order;
+  // counter columns hold exact per-shard sums (PerfCounters::merge_shard).
+  os << "run";
+  sim::PerfCounters::for_each([&os](const sim::CounterInfo& c) {
+    if (c.column != nullptr) os << ',' << c.column;
+  });
+  os << ",sim_per_wall\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sim::PerfCounters& p = results[i].perf;
-    // Sharded runs stamp their formation width into the metrics registry;
-    // serial runs carry no entry and report width 1. Counter columns hold
-    // exact per-shard sums either way (PerfCounters::merge_shard).
-    const double width = results[i].metrics.value("shard.width");
-    os << i << ',' << (width > 0.0 ? static_cast<int>(width) : 1) << ','
-       << p.events_popped << ',' << p.events_cancelled << ','
-       << p.heap_peak << ',' << p.compactions << ',' << p.handles_allocated
-       << ',' << p.callbacks_heap << ',' << p.frames_tx << ','
-       << p.frames_fanout << ',' << p.radio_candidates << ','
-       << p.grid_cells_scanned << ',' << p.grid_rebuckets << ','
-       << p.sim_seconds << ',' << p.wall_seconds << ',' << p.sim_rate()
-       << '\n';
+    os << i;
+    sim::PerfCounters::for_each(
+        [&os](const sim::CounterInfo& c, const auto& value) {
+          if constexpr (std::is_arithmetic_v<
+                            std::remove_cvref_t<decltype(value)>>) {
+            if (c.column != nullptr) os << ',' << value;
+          }
+        },
+        p);
+    os << ',' << p.sim_rate() << '\n';
   }
 }
 

@@ -307,7 +307,7 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
      << ",\"neighbor_index\":\""
      << (config.neighbor_index == phy::NeighborIndex::kGrid ? "grid"
                                                             : "brute")
-     << '"' << ",\"grid_cell_m\":" << json_number(config.grid_cell_m);
+     << '"';
   if (config.city) {
     os << ",\"city\":{\"width_m\":" << json_number(config.city->width_m)
        << ",\"height_m\":" << json_number(config.city->height_m)
@@ -447,8 +447,6 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
       } else {
         return set_error(error, "neighbor_index must be grid|brute");
       }
-    } else if (key == "grid_cell_m") {
-      out.grid_cell_m = value.number_or(-1.0);
     } else if (key == "road_length_m") {
       out.deployment.road_length_m = value.number_or(0.0);
     } else if (key == "aps_per_km") {

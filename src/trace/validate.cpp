@@ -126,16 +126,6 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
   }
   check_fraction(propagation.base_loss, "propagation.base_loss", issues);
 
-  if (grid_cell_m < 0.0 || !std::isfinite(grid_cell_m)) {
-    issues.push_back({"grid_cell_m", "must be finite and >= 0 (0 = auto)"});
-  } else if (grid_cell_m != 0.0 && grid_cell_m < propagation.range_m) {
-    issues.push_back(
-        {"grid_cell_m",
-         "below the propagation range (" +
-             std::to_string(propagation.range_m) +
-             " m); the 3x3 grid neighborhood would miss in-range radios"});
-  }
-
   if (city) {
     if (!(city->width_m > 0.0) || !(city->height_m > 0.0)) {
       issues.push_back({"city.width_m/height_m", "city area must be > 0"});

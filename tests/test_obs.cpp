@@ -16,7 +16,6 @@
 #include "trace/experiment.hpp"
 #include "trace/export.hpp"
 #include "trace/runner.hpp"
-#include "trace/sweep.hpp"
 
 using namespace spider;
 
@@ -159,8 +158,8 @@ TEST(SweepRunner, JsonlByteIdenticalAcrossWorkerCounts) {
                                                 tiny_scenario(22)};
   std::string baseline;
   for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    const auto results =
-        trace::SweepRunner({.jobs = jobs, .tracing = true}).run(configs);
+    const auto results = trace::ScenarioRunner({.jobs = jobs, .tracing = true})
+                             .run_many(configs);
     std::ostringstream jsonl;
     trace::write_trace_jsonl(jsonl, results);
     EXPECT_FALSE(jsonl.str().empty());
@@ -174,7 +173,7 @@ TEST(SweepRunner, JsonlByteIdenticalAcrossWorkerCounts) {
 
 TEST(SweepRunner, ChromeTraceIsBalancedJson) {
   const auto results =
-      trace::SweepRunner({.jobs = 1, .tracing = true}).run({tiny_scenario()});
+      trace::ScenarioRunner({.tracing = true}).run_many({tiny_scenario()});
   std::ostringstream os;
   trace::write_trace_chrome(os, results);
   const std::string json = os.str();

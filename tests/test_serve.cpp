@@ -119,14 +119,6 @@ TEST(Validate, RejectsBadClientCountAndSpeed) {
   EXPECT_GE(issues.size(), 2u);
 }
 
-TEST(Validate, RejectsGridCellBelowPropagationRange) {
-  trace::ScenarioConfig config;
-  config.grid_cell_m = config.propagation.range_m * 0.5;
-  const auto issues = config.validate();
-  ASSERT_FALSE(issues.empty());
-  EXPECT_EQ(issues.front().field, "grid_cell_m");
-}
-
 TEST(Validate, RejectsZeroInterfacesForSpider) {
   trace::ScenarioConfig config;
   config.spider.num_interfaces = 0;
@@ -252,13 +244,17 @@ TEST(Protocol, ShardsRoundTripsAndBadValuesFailValidation) {
 }
 
 TEST(Protocol, UnknownScenarioKeyIsAnError) {
-  const std::optional<util::Json> json =
-      util::Json::parse(R"({"seed":1,"durationn_s":30})");
-  ASSERT_TRUE(json.has_value());
-  trace::ScenarioConfig config;
-  std::string error;
-  EXPECT_FALSE(parse_scenario(*json, &config, &error));
-  EXPECT_NE(error.find("durationn_s"), std::string::npos);
+  // A typo, and a knob the scenario no longer has (the grid cell is
+  // always range + slack).
+  for (const std::string key : {"durationn_s", "grid_cell_m"}) {
+    const std::optional<util::Json> json =
+        util::Json::parse(R"({"seed":1,")" + key + R"(":30})");
+    ASSERT_TRUE(json.has_value());
+    trace::ScenarioConfig config;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(*json, &config, &error));
+    EXPECT_NE(error.find(key), std::string::npos);
+  }
 }
 
 TEST(Protocol, ExtensionFreeConfigKeepsPreExtensionWireBytes) {

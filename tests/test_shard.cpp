@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "trace/experiment.hpp"
+#include "trace/export.hpp"
 
 namespace spider::phy {
 namespace {
@@ -842,6 +844,43 @@ TEST(ShardScenario, EveryShardIsTraced) {
   }
   EXPECT_DOUBLE_EQ(r.metrics.value("obs.recorded"), recorded);
   EXPECT_DOUBLE_EQ(r.metrics.value("shard.width"), 2.0);
+}
+
+TEST(ShardScenario, PerfCsvReadsTheWidthFromTheRecord) {
+  ScenarioConfig cfg;
+  cfg.seed = 5;
+  cfg.duration = sec(2);
+  cfg.clients = 4;
+  mob::CityGridConfig city;
+  city.width_m = 750.0;
+  city.height_m = 750.0;
+  city.aps_per_km2 = 150.0;
+  cfg.city = city;
+  cfg.shards = 2;
+  const ScenarioResult r = detail::execute_scenario(cfg, nullptr);
+  // Untraced: the metrics export view stays empty, and the CSV reads the
+  // formation width from the counter record.
+  EXPECT_TRUE(r.metrics.empty());
+  EXPECT_EQ(r.perf.shards, 2u);
+  std::ostringstream os;
+  write_perf_csv(os, {r});
+  std::istringstream lines(os.str());
+  std::string header_line, row_line, extra;
+  ASSERT_TRUE(std::getline(lines, header_line));
+  ASSERT_TRUE(std::getline(lines, row_line));
+  EXPECT_FALSE(std::getline(lines, extra));
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::istringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');) cells.push_back(cell);
+    return cells;
+  };
+  const std::vector<std::string> header = split(header_line);
+  const std::vector<std::string> row = split(row_line);
+  ASSERT_EQ(header.size(), row.size());
+  const auto shards_col = std::find(header.begin(), header.end(), "shards");
+  ASSERT_NE(shards_col, header.end());
+  EXPECT_EQ(row[static_cast<std::size_t>(shards_col - header.begin())], "2");
 }
 
 /// Two-sided p-value of the Mann–Whitney U test of `a` against `b`: the

@@ -684,18 +684,10 @@ TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
 // --- configuration ---------------------------------------------------
 
 TEST(SpatialIndexConfig, CellSizeClampsUpToPropagationRange) {
+  // The cell is range + slack, the smallest sound 3x3 neighborhood.
   sim::Simulator sim;
-  MediumConfig mc;
-  mc.grid_cell_m = 10.0;  // below range + slack: unsound, must clamp up
-  Medium clamped(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(clamped.grid_slack_m(), 10.0);
-  EXPECT_DOUBLE_EQ(clamped.grid_cell_m(), 110.0);
-
-  mc.grid_cell_m = 250.0;  // above range + slack: honored (coarser is sound)
-  Medium coarse(sim, Propagation(lossless_config(100.0)), Rng(1), mc);
-  EXPECT_DOUBLE_EQ(coarse.grid_cell_m(), 250.0);
-
   Medium derived(sim, Propagation(lossless_config(100.0)), Rng(1));
+  EXPECT_DOUBLE_EQ(derived.grid_slack_m(), 10.0);
   EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 110.0);
   EXPECT_EQ(derived.config().neighbor_index, NeighborIndex::kGrid);
 }

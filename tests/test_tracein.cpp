@@ -23,7 +23,7 @@
 #include "trace/client_profile.hpp"
 #include "trace/experiment.hpp"
 #include "trace/impairment.hpp"
-#include "trace/sweep.hpp"
+#include "trace/runner.hpp"
 #include "tracein/occupancy.hpp"
 #include "tracein/replay.hpp"
 
@@ -676,13 +676,13 @@ TEST(TraceReplayDeterminism, TwoHundredSeedsMatchAcrossJobsAndReingest) {
   const TempTrace file("test_tracein_fuzz.csv", fuzz_trace_csv());
   const auto configs = fuzz_configs(file.path());
 
-  const auto serial = trace::SweepRunner({.jobs = 1}).run(configs);
+  const auto serial = trace::ScenarioRunner({.jobs = 1}).run_many(configs);
   ASSERT_EQ(serial.size(), configs.size());
   std::vector<std::string> digests;
   digests.reserve(serial.size());
   for (const auto& result : serial) digests.push_back(digest(result));
 
-  const auto parallel = trace::SweepRunner({.jobs = 8}).run(configs);
+  const auto parallel = trace::ScenarioRunner({.jobs = 8}).run_many(configs);
   ASSERT_EQ(parallel.size(), configs.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     ASSERT_EQ(digest(parallel[i]), digests[i]) << "jobs=8 seed " << i;
@@ -700,7 +700,7 @@ TEST(TraceReplayDeterminism, TwoHundredSeedsMatchAcrossJobsAndReingest) {
   for (auto& cfg : reconfigs) {
     cfg.impairments = trace::ImpairmentSource::trace_file(copy.path());
   }
-  const auto replayed = trace::SweepRunner({.jobs = 8}).run(reconfigs);
+  const auto replayed = trace::ScenarioRunner({.jobs = 8}).run_many(reconfigs);
   ASSERT_EQ(replayed.size(), configs.size());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
     ASSERT_EQ(digest(replayed[i]), digests[i]) << "re-ingest seed " << i;
