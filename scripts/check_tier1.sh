@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, run the full test suite, then the
 # perf/determinism smokes (hot-path allocation contract, the citywide
-# grid-vs-brute-force digest pin — which also asserts the grid wins on
-# wall-clock — the sharded-formation digest pin and its 4-shard speedup
-# floor, the sim-as-a-service robustness pin, the trace-replay re-ingest
+# golden stdout pin, the sharded-formation digest pin and its 4-shard
+# speedup floor, the sim-as-a-service robustness pin, the trace-replay re-ingest
 # pin, and the faulted shard-axis digest pin), then the event engine's,
 # the scenario kernel's and the server's tests under AddressSanitizer +
 # UBSan, then the shard engine and the
@@ -24,7 +23,8 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" --timeout 300)
 "$BUILD_DIR"/bench/bench_microperf --smoke --json "$BUILD_DIR"/BENCH_hotpath.json
-"$BUILD_DIR"/bench/ext_citywide --smoke --assert-wall --json "$BUILD_DIR"/BENCH_citywide_smoke.json
+cmake -DEXE="$BUILD_DIR"/bench/ext_citywide -DARGS=--smoke \
+  -DGOLDEN=data/golden/ext_citywide_smoke.txt -P cmake/compare_stdout.cmake
 "$BUILD_DIR"/bench/ext_citywide --smoke --shards 1,2,4 --assert-shards --json "$BUILD_DIR"/BENCH_citywide_shard.json
 (cd "$BUILD_DIR" && bench/serve_smoke --seeds 1000 --json BENCH_serve_smoke.json)
 (cd "$BUILD_DIR" && bench/ext_trace_replay --smoke 1 --trace ../data/traces/sample_occupancy.csv --resilience-csv BENCH_trace_replay_resilience.csv --shards 1,2)
@@ -37,16 +37,18 @@ cmake --build "$BUILD_DIR" -j
 # Event engine and scenario kernel under AddressSanitizer +
 # UndefinedBehaviorSanitizer: the event queue's near tier links its slot
 # lists through slab indices, so an out-of-bounds or stale index must fail
-# the gate, not corrupt a run; the scenario kernel's objects (rigs,
-# harnesses, recorders, injectors, fabric and testbeds) must outlive every
-# use at every width, and the server must free what each request built. A
+# the gate, not corrupt a run; the medium's slot registry and grid cell
+# lanes, which the spatial-index tests also poke through their test peer,
+# must stay in bounds; the scenario kernel's objects (rigs, harnesses,
+# recorders, injectors, fabric and testbeds) must outlive every use at
+# every width, and the server must free what each request built. A
 # dedicated tree builds only these tests and the hot-path contract.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DSPIDER_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" -j --target test_sim test_sweep test_modelcheck \
-  test_perf_hotpath test_shard test_fault_shard test_serve
+  test_perf_hotpath test_shard test_fault_shard test_serve test_spatial_index
 for t in test_sim test_sweep test_modelcheck test_perf_hotpath test_shard \
-         test_serve; do
+         test_serve test_spatial_index; do
   UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR"/tests/$t
 done
 # The differential fault fuzz at the TSan leg's trimmed seed count.

@@ -139,45 +139,35 @@ void Medium::ChannelGrid::rehash(std::size_t capacity) {
 
 // --- Medium ------------------------------------------------------------
 
-Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-               MediumConfig config)
+Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng)
     : sim_(simulator),
       propagation_(propagation),
       rng_(rng),
-      config_(config),
       slack_m_(kGridSlackFraction * propagation_.config().range_m),
       // Correctness of the 3x3 neighborhood needs cell >= range + slack (a
       // receiver at exactly range_m, bucketed up to `slack` outside its
       // cell, must still land no further than one cell away); the floor
       // keeps degenerate zero-range propagation configs from dividing by
       // zero in cell_coord.
-      cell_m_(std::max(propagation_.config().range_m + slack_m_, 1e-3)) {
-  last_refresh_.fill(Time{-1});
-}
+      cell_m_(std::max(propagation_.config().range_m + slack_m_, 1e-3)) {}
 
-Medium::Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-               int retry_limit)
-    : Medium(simulator, propagation, rng,
-             MediumConfig{.retry_limit = retry_limit}) {}
+Medium::ChannelState& Medium::channel_state(wire::Channel channel) {
+  if (flat_channel(channel)) {
+    return channels_flat_[static_cast<std::size_t>(channel)];
+  }
+  return channels_other_[channel];
+}
 
 void Medium::set_channel_impairment(wire::Channel channel, double extra_loss) {
   const double clamped = std::clamp(extra_loss, 0.0, 1.0);
-  if (flat_channel(channel)) {
-    impairment_flat_[static_cast<std::size_t>(channel)] = clamped;
-  } else {
-    impairments_other_[channel] = clamped;
-  }
+  channel_state(channel).impairment = clamped;
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kImpairmentSet,
                .channel = static_cast<std::int16_t>(channel),
                .track = obs::track::channel(channel), .value = clamped);
 }
 
 void Medium::clear_channel_impairment(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    impairment_flat_[static_cast<std::size_t>(channel)] = 0.0;
-  } else {
-    impairments_other_.erase(channel);
-  }
+  channel_state(channel).impairment = 0.0;
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kImpairmentClear,
                .channel = static_cast<std::int16_t>(channel),
                .track = obs::track::channel(channel));
@@ -185,61 +175,14 @@ void Medium::clear_channel_impairment(wire::Channel channel) {
 
 double Medium::channel_impairment(wire::Channel channel) const {
   if (flat_channel(channel)) {
-    return impairment_flat_[static_cast<std::size_t>(channel)];
+    return channels_flat_[static_cast<std::size_t>(channel)].impairment;
   }
-  auto it = impairments_other_.find(channel);
-  return it == impairments_other_.end() ? 0.0 : it->second;
-}
-
-std::vector<std::uint32_t>& Medium::cohort(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return cohorts_[static_cast<std::size_t>(channel)];
-  }
-  return cohorts_other_[channel];
-}
-
-void Medium::cohort_insert(wire::Channel channel, std::uint32_t slot) {
-  auto& v = cohort(channel);
-  const std::uint64_t seq = slots_[slot].attach_seq;
-  // Keep the cohort sorted by attach order so the transmit loop visits
-  // same-channel radios in the exact sequence the old whole-table scan
-  // would have (a retuned radio re-enters at its original rank, not at the
-  // back). Cohorts are small (radios per channel), so the shift is cheap.
-  auto it = std::lower_bound(
-      v.begin(), v.end(), seq, [this](std::uint32_t s, std::uint64_t q) {
-        return slots_[s].attach_seq < q;
-      });
-  v.insert(it, slot);
-}
-
-void Medium::cohort_remove(wire::Channel channel, std::uint32_t slot) {
-  auto& v = cohort(channel);
-  v.erase(std::remove(v.begin(), v.end(), slot), v.end());
+  const auto it = channels_other_.find(channel);
+  return it == channels_other_.end() ? 0.0 : it->second.impairment;
 }
 
 std::int32_t Medium::cell_coord(double meters) const {
   return static_cast<std::int32_t>(std::floor(meters / cell_m_));
-}
-
-Medium::ChannelGrid& Medium::grid(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return grids_[static_cast<std::size_t>(channel)];
-  }
-  return grids_other_[channel];
-}
-
-std::vector<std::uint32_t>& Medium::mobiles(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return mobile_slots_[static_cast<std::size_t>(channel)];
-  }
-  return mobile_other_[channel];
-}
-
-Time& Medium::last_refresh(wire::Channel channel) {
-  if (flat_channel(channel)) {
-    return last_refresh_[static_cast<std::size_t>(channel)];
-  }
-  return last_refresh_other_.try_emplace(channel, Time{-1}).first->second;
 }
 
 void Medium::grid_fatal(const char* what) {
@@ -256,7 +199,7 @@ Time Medium::motion_horizon(const Slot& s, const Position& pos) const {
   return sim_.now() + sec(d / s.max_speed);
 }
 
-void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
+void Medium::grid_insert(ChannelState& state, std::uint32_t slot,
                          const Position& pos) {
   Slot& s = slots_[slot];
   const std::int32_t cx = cell_coord(pos.x);
@@ -273,7 +216,7 @@ void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
   pos_y_[slot] = pos.y;
   s.pos_stamp = sim_.now();
   if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
-  ChannelGrid& g = grid(channel);
+  ChannelGrid& g = state.grid;
   const std::uint32_t ci = g.find_or_create(s.cell);
   CellSoA& cell = g.cells[ci];
   if (cell.empty()) g.occ_add(s.cell);
@@ -281,8 +224,8 @@ void Medium::grid_insert(wire::Channel channel, std::uint32_t slot,
   cell.insert_sorted(slots_, slot, s.attach_seq);
 }
 
-void Medium::grid_remove(wire::Channel channel, std::uint32_t slot) {
-  ChannelGrid& g = grid(channel);
+void Medium::grid_remove(ChannelState& state, std::uint32_t slot) {
+  ChannelGrid& g = state.grid;
   const Slot& s = slots_[slot];
   if (s.cell_idx >= g.cells.size() || g.cells[s.cell_idx].key != s.cell) {
     grid_fatal("grid_remove: slot's recorded cell is absent from its grid");
@@ -295,12 +238,11 @@ void Medium::grid_remove(wire::Channel channel, std::uint32_t slot) {
   if (cell.empty()) g.occ_sub(s.cell);
 }
 
-void Medium::refresh_mobile_buckets(wire::Channel channel) {
+void Medium::refresh_mobile_buckets(ChannelState& state) {
   const Time now = sim_.now();
-  Time& last = last_refresh(channel);
-  if (now == last) return;
-  last = now;
-  for (const std::uint32_t slot : mobiles(channel)) {
+  if (now == state.last_refresh) return;
+  state.last_refresh = now;
+  for (const std::uint32_t slot : state.mobiles) {
     Slot& s = slots_[slot];
     // Motion-bound amortisation: a radio with a declared speed ceiling
     // provably cannot have left its bucket box before safe_until, so its
@@ -325,15 +267,14 @@ void Medium::refresh_mobile_buckets(wire::Channel channel) {
     // true cell (only a zero-range config has no slack; re-entering the
     // same cell is still exact there). grid_remove checks the recorded
     // cell and aborts on a corrupt one.
-    grid_remove(channel, slot);
-    grid_insert(channel, slot, pos);
+    grid_remove(state, slot);
+    grid_insert(state, slot, pos);
     ++perf_.grid_rebuckets;
   }
 }
 
-void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
+void Medium::gather_neighborhood(const ChannelGrid& g, const Position& pos) {
   scratch_slots_.clear();
-  ChannelGrid& g = grid(channel);
   const std::int32_t cx = cell_coord(pos.x);
   const std::int32_t cy = cell_coord(pos.y);
   // Occupied cells among the 9 probes; the bitmap answers empty/absent ones
@@ -361,7 +302,7 @@ void Medium::gather_neighborhood(wire::Channel channel, const Position& pos) {
     return;
   }
   // Order-preservation rule (DESIGN.md §10): the RNG-consuming loss draws
-  // in transmit must replay the brute-force scan's visit order exactly, so
+  // in transmit must visit candidates in the channel's attach order, so
   // the merged neighborhood is emitted in ascending attach_seq — the order
   // every per-cell lane already keeps. A 9-way sorted merge replaces the
   // old gather-then-sort.
@@ -412,6 +353,28 @@ Position Medium::slot_position(const Slot& s) const {
                             : s.radio->position();
 }
 
+void Medium::place(wire::Channel channel, std::uint32_t slot,
+                   const Position& pos, bool mobile, double max_speed) {
+  Slot& s = slots_[slot];
+  ChannelState& state = channel_state(channel);
+  s.max_speed = max_speed;
+  s.safe_until = Time{0};
+  grid_insert(state, slot, pos);
+  s.mobile = mobile;
+  if (mobile) state.mobiles.push_back(slot);
+}
+
+void Medium::unplace(wire::Channel channel, std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ChannelState& state = channel_state(channel);
+  grid_remove(state, slot);
+  if (s.mobile) {
+    auto& m = state.mobiles;
+    m.erase(std::remove(m.begin(), m.end(), slot), m.end());
+    s.mobile = false;
+  }
+}
+
 void Medium::attach(Radio& radio) {
   const std::uint32_t slot = allocate_slot();
   Slot& s = slots_[slot];
@@ -420,20 +383,14 @@ void Medium::attach(Radio& radio) {
   radio.medium_slot_ = slot;
   if (shard_link_ != nullptr && shard_link_->is_shadow(radio.mac())) {
     // Client radio in a sharded formation: registered here (liveness,
-    // teardown) but its phy presence — cohort and grid membership — lives
-    // as a proxy slot on whichever shard owns its channel stripe.
+    // teardown) but its phy presence — grid membership — lives as a proxy
+    // slot on whichever shard owns its channel stripe.
     s.shadow = true;
     shard_link_->on_shadow_attach(radio);
     return;
   }
-  cohort_insert(radio.channel(), slot);
-  if (grid_enabled()) {
-    s.max_speed = radio.config().max_speed_mps;
-    s.safe_until = Time{0};
-    grid_insert(radio.channel(), slot, radio.position());
-    s.mobile = radio.config().mobile;
-    if (s.mobile) mobiles(radio.channel()).push_back(slot);
-  }
+  place(radio.channel(), slot, radio.position(), radio.config().mobile,
+        radio.config().max_speed_mps);
 }
 
 void Medium::detach(Radio& radio) {
@@ -443,19 +400,8 @@ void Medium::detach(Radio& radio) {
   if (s.shadow) {
     if (shard_link_ != nullptr) shard_link_->on_shadow_detach(radio);
     s.shadow = false;
-    s.radio = nullptr;
-    ++s.generation;
-    free_slots_.push_back(slot);
-    return;
-  }
-  cohort_remove(radio.channel(), slot);
-  if (grid_enabled()) {
-    grid_remove(radio.channel(), slot);
-    if (s.mobile) {
-      auto& m = mobiles(radio.channel());
-      m.erase(std::remove(m.begin(), m.end(), slot), m.end());
-      s.mobile = false;
-    }
+  } else {
+    unplace(radio.channel(), slot);
   }
   s.radio = nullptr;
   // Bump on detach too: in-flight deliveries stamped with the old
@@ -476,14 +422,9 @@ void Medium::proxy_attach(const ShardProxyDesc& desc) {
   Slot& s = slots_[slot];
   s.proxy = info.get();
   s.attach_seq = next_attach_seq_++;
-  cohort_insert(desc.channel, slot);
-  if (grid_enabled()) {
-    s.max_speed = desc.max_speed_mps;
-    s.safe_until = Time{0};
-    grid_insert(desc.channel, slot, info->pos_at(sim_.now()));
-    s.mobile = true;  // clients tour routes; their proxies move with them
-    mobiles(desc.channel).push_back(slot);
-  }
+  // Clients tour routes; their proxies move with them.
+  place(desc.channel, slot, info->pos_at(sim_.now()), true,
+        desc.max_speed_mps);
   proxies_[desc.gid] = std::move(info);
 }
 
@@ -493,15 +434,7 @@ void Medium::proxy_detach(std::uint64_t gid) {
   const ProxyInfo& info = *it->second;
   const std::uint32_t slot = info.slot;
   Slot& s = slots_[slot];
-  cohort_remove(info.channel, slot);
-  if (grid_enabled()) {
-    grid_remove(info.channel, slot);
-    if (s.mobile) {
-      auto& m = mobiles(info.channel);
-      m.erase(std::remove(m.begin(), m.end(), slot), m.end());
-      s.mobile = false;
-    }
-  }
+  unplace(info.channel, slot);
   s.proxy = nullptr;
   // In-flight deliveries aimed at the departed proxy die on the stamp
   // check, exactly like deliveries to a detached radio.
@@ -511,24 +444,18 @@ void Medium::proxy_detach(std::uint64_t gid) {
 }
 
 void Medium::retune(Radio& radio, wire::Channel old_channel) {
-  if (slots_[radio.medium_slot_].shadow) {
+  const std::uint32_t slot = radio.medium_slot_;
+  const Slot& s = slots_[slot];
+  if (s.shadow) {
     shard_link_->on_shadow_retune(radio, old_channel);
     return;
   }
-  cohort_remove(old_channel, radio.medium_slot_);
-  cohort_insert(radio.channel(), radio.medium_slot_);
-  if (grid_enabled()) {
-    // Re-sampling the position here freshens a mobile radio's bucket and
-    // position lanes for free; for static radios it is the same cell it
-    // attached with.
-    grid_remove(old_channel, radio.medium_slot_);
-    grid_insert(radio.channel(), radio.medium_slot_, radio.position());
-    if (slots_[radio.medium_slot_].mobile) {
-      auto& m = mobiles(old_channel);
-      m.erase(std::remove(m.begin(), m.end(), radio.medium_slot_), m.end());
-      mobiles(radio.channel()).push_back(radio.medium_slot_);
-    }
-  }
+  // Re-sampling the position here freshens a mobile radio's bucket and
+  // position lanes for free; for static radios it is the same cell it
+  // attached with.
+  const bool mobile = s.mobile;
+  unplace(old_channel, slot);
+  place(radio.channel(), slot, radio.position(), mobile, s.max_speed);
 }
 
 Time Medium::airtime(std::size_t bytes, BitRate rate) {
@@ -570,21 +497,16 @@ void Medium::inject_shard_fanout(wire::Channel channel, const Position& tx_pos,
 void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
                     BitRate rate, wire::Frame&& frame,
                     std::uint32_t sender_slot, std::uint64_t exclude_gid) {
-  const bool use_grid = grid_enabled();
-  std::size_t count;
-  if (use_grid) {
-    // Bring this channel's mobile buckets and position lanes up to this
-    // timestamp first, so the 3x3 neighborhood below cannot miss a receiver
-    // that drifted out of its bucket box since the last transmit. The
-    // sender itself is always within the 3x3 neighborhood afterwards
-    // (mobile: at most `slack` outside its bucket; static: bucketed at its
-    // fixed attach position).
-    refresh_mobile_buckets(channel);
-    gather_neighborhood(channel, tx_pos);
-    count = scratch_slots_.size();
-  } else {
-    count = cohort(channel).size();
-  }
+  // Bring this channel's mobile buckets and position lanes up to this
+  // timestamp first, so the 3x3 neighborhood below cannot miss a receiver
+  // that drifted out of its bucket box since the last transmit. The sender
+  // itself is always within the 3x3 neighborhood afterwards (mobile: at
+  // most `slack` outside its bucket; static: bucketed at its fixed attach
+  // position).
+  ChannelState& state = channel_state(channel);
+  refresh_mobile_buckets(state);
+  gather_neighborhood(state.grid, tx_pos);
+  const std::size_t count = scratch_slots_.size();
   // A local sender is always a member of its own candidate set (a remote
   // injection has no local sender); checking before the subtraction keeps
   // the examined counter exact and guards the empty set (size - 1 would
@@ -594,7 +516,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
   perf_.radio_candidates += count - self;
 
   const Time arrival = airtime(frame.size_bytes, rate);
-  const double impairment = channel_impairment(channel);
+  const double impairment = state.impairment;
 
   // One pooled body cell for every receiver; reception-time fields (rssi)
   // are patched per delivery just before the upcall. Each scheduled
@@ -636,7 +558,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
                       body.dst.raw() < rs.proxy->addr_hi
                 : rs.radio->owns_address(body.dst);
     }
-    const int attempts_allowed = arq ? 1 + config_.retry_limit : 1;
+    const int attempts_allowed = arq ? 1 + kMediumDefaultRetryLimit : 1;
     int attempt = 1;
     while (attempt <= attempts_allowed && rng_.chance(p_loss)) ++attempt;
     if (attempt > attempts_allowed) return;  // lost despite retries
@@ -662,7 +584,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
           (s.radio == nullptr && s.proxy == nullptr)) {
         ++frames_dropped_at_rx_;
       } else if (s.proxy != nullptr) {
-        // The loss draw happened here, where the cohort lives; the
+        // The loss draw happened here, where the proxy lives; the
         // listening/channel gate and the delivered/dropped count happen at
         // home, where the radio's true state lives.
         cell.frame.rssi_dbm = rssi;
@@ -688,38 +610,26 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
            s.proxy->gid == exclude_gid;
   };
 
-  if (use_grid) {
-    // Candidate positions come from the central per-slot lanes — fresh as
-    // of this timestamp's sweep and bit-identical to position() — so an
-    // out-of-range candidate costs a few loads and no callback into Radio.
-    // The exception is a mobile the sweep skipped on its motion-bound
-    // horizon: its lanes are stale, so it is re-sampled here, on the few
-    // slots that actually surface as candidates instead of the whole
-    // channel roster.
-    const Time now = sim_.now();
-    const std::size_t m = scratch_slots_.size();
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint32_t rx_slot = scratch_slots_[i];
-      if (rx_slot == sender_slot) continue;
-      Slot& s = slots_[rx_slot];
-      if (is_excluded(s)) continue;
-      if (s.mobile && s.pos_stamp != now) {
-        const Position rx_pos = slot_position(s);
-        pos_x_[rx_slot] = rx_pos.x;
-        pos_y_[rx_slot] = rx_pos.y;
-        s.pos_stamp = now;
-        if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, rx_pos);
-      }
-      consider(rx_slot, pos_x_[rx_slot], pos_y_[rx_slot], s.generation);
-    }
-  } else {
-    for (const std::uint32_t rx_slot : cohort(channel)) {
-      if (rx_slot == sender_slot) continue;
-      const Slot& s = slots_[rx_slot];
-      if (is_excluded(s)) continue;
+  // Candidate positions come from the central per-slot lanes — fresh as of
+  // this timestamp's sweep and bit-identical to position() — so an
+  // out-of-range candidate costs a few loads and no callback into Radio.
+  // The exception is a mobile the sweep skipped on its motion-bound
+  // horizon: its lanes are stale, so it is re-sampled here, on the few
+  // slots that actually surface as candidates instead of the whole channel
+  // roster.
+  const Time now = sim_.now();
+  for (const std::uint32_t rx_slot : scratch_slots_) {
+    if (rx_slot == sender_slot) continue;
+    Slot& s = slots_[rx_slot];
+    if (is_excluded(s)) continue;
+    if (s.mobile && s.pos_stamp != now) {
       const Position rx_pos = slot_position(s);
-      consider(rx_slot, rx_pos.x, rx_pos.y, s.generation);
+      pos_x_[rx_slot] = rx_pos.x;
+      pos_y_[rx_slot] = rx_pos.y;
+      s.pos_stamp = now;
+      if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, rx_pos);
     }
+    consider(rx_slot, pos_x_[rx_slot], pos_y_[rx_slot], s.generation);
   }
   // Everyone missed the loss draw: recycle the cell right away.
   if (bodies_[body_idx].refs == 0) free_bodies_.push_back(body_idx);

@@ -21,19 +21,9 @@ class ShardLink;
 struct MediumTestPeer;
 struct ShardProxyDesc;
 
-/// How Medium::transmit finds candidate receivers on the sender's channel.
-enum class NeighborIndex {
-  /// Linear scan of the whole per-channel cohort. O(radios-on-channel) per
-  /// transmission; kept as the differential-test oracle and the perf
-  /// baseline for the grid.
-  kBruteForce,
-  /// Uniform spatial hash: radios bucket into cells of at least range plus
-  /// a hysteresis slack, transmit visits only the 3x3 cell neighborhood of
-  /// the transmitter. Sub-linear in deployment size and byte-identical to
-  /// the brute-force scan (see DESIGN.md §10 for the order-preservation
-  /// argument).
-  kGrid,
-};
+/// The medium's one neighbour index, the spatial grid (DESIGN.md §10).
+/// Remains only for the benchmark driver's `cfg.neighbor_index = kGrid`.
+enum class NeighborIndex { kGrid };
 
 /// Default max retransmissions of a unicast frame. Stock drivers use ~7;
 /// the conservative default of 4 reflects the short-retry behaviour under
@@ -46,14 +36,6 @@ inline constexpr int kMediumDefaultRetryLimit = 4;
 /// re-sampled on every transmit (DESIGN.md §10).
 inline constexpr double kGridSlackFraction = 0.1;
 
-/// Construction-time knobs of the medium. The neighbor index is fixed for
-/// the medium's lifetime — differential tests build one medium per mode.
-struct MediumConfig {
-  NeighborIndex neighbor_index = NeighborIndex::kGrid;
-  /// 802.11 ARQ retry budget for unicast frames to their addressee.
-  int retry_limit = kMediumDefaultRetryLimit;
-};
-
 /// The shared wireless medium.
 ///
 /// Radios register themselves and transmit frames; the medium decides who
@@ -63,12 +45,12 @@ struct MediumConfig {
 /// arrive after their serialisation airtime.
 ///
 /// 802.11 link-layer ARQ is modelled statistically: a unicast frame is
-/// retransmitted up to `retry_limit` times, so its delivery probability to
-/// its addressee is 1 - p^(retries+1) with each extra attempt adding one
-/// airtime of latency. Broadcast frames (beacons, probe requests) get a
-/// single attempt, as on real hardware — which is exactly why the paper's
-/// join model sees a flat per-message loss h on the handshake while bulk
-/// TCP rides an almost-lossless link inside the cell.
+/// retransmitted up to kMediumDefaultRetryLimit times, so its delivery
+/// probability to its addressee is 1 - p^(retries+1) with each extra attempt
+/// adding one airtime of latency. Broadcast frames (beacons, probe requests)
+/// get a single attempt, as on real hardware — which is exactly why the
+/// paper's join model sees a flat per-message loss h on the handshake while
+/// bulk TCP rides an almost-lossless link inside the cell.
 ///
 /// Deliberate simplification: there is no CSMA/collision model. The paper's
 /// effects come from scheduling, handshake timeouts and backhaul limits, not
@@ -77,21 +59,19 @@ struct MediumConfig {
 /// and is consistent with the paper's own analytical treatment (flat h).
 ///
 /// Hot-path engineering (see DESIGN.md §8): radios are held in a
-/// generation-stamped slot registry and indexed per channel, so transmit
-/// touches only same-channel radios and in-flight deliveries validate the
+/// generation-stamped slot registry, so in-flight deliveries validate the
 /// receiver in O(1) (immune to a new radio reusing a detached radio's
-/// address). At city scale even the per-channel cohort is too big to scan
-/// per frame, so radios additionally bucket into a uniform spatial hash
-/// grid (DESIGN.md §10): transmit visits only the 3x3 cell neighborhood
-/// of the transmitter, with candidate order — and therefore
-/// every RNG draw and delivered-frame set — byte-identical to the
-/// brute-force scan, which stays available via MediumConfig as the
-/// differential-test oracle. Cells are flat SoA lanes (slot / attach_seq /
-/// position / generation in parallel contiguous arrays, attach_seq-sorted)
-/// behind an open-addressed cell table with a per-channel occupancy bitmap,
-/// so the 9-cell probe skips empty cells on one bit test and the
-/// neighborhood is a 9-way sorted merge that streams lanes — no hashing
-/// chains, no per-transmit sort, no per-candidate position() calls. The
+/// address), and bucket into one uniform spatial hash grid per channel
+/// (DESIGN.md §10): transmit visits only the 3x3 cell neighborhood of the
+/// transmitter on its own channel, in attach order — the order a scan of
+/// the whole channel would visit, so every RNG draw and delivered-frame set
+/// is independent of the cell size. Cells are flat SoA lanes (slot /
+/// attach_seq / position / generation in parallel contiguous arrays,
+/// attach_seq-sorted) behind an open-addressed cell table with a
+/// per-channel occupancy bitmap, so the 9-cell probe skips empty cells on
+/// one bit test and the neighborhood is a 9-way sorted merge that streams
+/// lanes — no hashing chains, no per-transmit sort, no per-candidate
+/// position() calls. The
 /// frame body is moved once into a refcounted pooled cell; each scheduled
 /// delivery carries only {cell index, slot, generation, rssi} — a trivially
 /// copyable reception record that rides the event queue's inline buffer via
@@ -99,16 +79,7 @@ struct MediumConfig {
 /// allocations in steady state.
 class Medium {
  public:
-  /// Back-compat alias for the ARQ default (see kMediumDefaultRetryLimit).
-  /// Sweeps (fault-resilience, ARQ ablations) pass their own limit via
-  /// MediumConfig or the retry-limit constructor.
-  static constexpr int kDefaultRetryLimit = kMediumDefaultRetryLimit;
-
-  Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-         MediumConfig config = {});
-  /// Convenience for callers that only tweak the ARQ budget.
-  Medium(sim::Simulator& simulator, Propagation propagation, Rng rng,
-         int retry_limit);
+  Medium(sim::Simulator& simulator, Propagation propagation, Rng rng);
 
   /// Radios self-register from their constructor/destructor.
   void attach(Radio& radio);
@@ -120,8 +91,6 @@ class Medium {
 
   const Propagation& propagation() const { return propagation_; }
   sim::Simulator& simulator() { return sim_; }
-  int retry_limit() const { return config_.retry_limit; }
-  const MediumConfig& config() const { return config_; }
   /// Grid cell edge: range + slack (DESIGN.md §10).
   double grid_cell_m() const { return cell_m_; }
   /// Mobile bucket hysteresis in meters (kGridSlackFraction of the range).
@@ -129,7 +98,7 @@ class Medium {
 
   /// Fault-injection hook: adds `extra_loss` (in [0,1]) to every frame on
   /// `channel`, combined independently with the propagation loss. One
-  /// impairment per channel; setting again overwrites, clearing removes.
+  /// impairment per channel; setting again overwrites, clearing zeroes it.
   void set_channel_impairment(wire::Channel channel, double extra_loss);
   void clear_channel_impairment(wire::Channel channel);
   /// Current extra loss on `channel` (0 when unimpaired).
@@ -151,8 +120,8 @@ class Medium {
   /// Same-channel candidate radios examined across all transmits.
   std::uint64_t candidates_examined() const { return perf_.radio_candidates; }
   /// *Occupied* grid cells probed by neighborhood queries (at most 9 per
-  /// grid-mode transmit; empty cells are skipped by the occupancy bitmap
-  /// and no longer counted; 0 under brute force).
+  /// transmit; empty cells are skipped by the occupancy bitmap and not
+  /// counted).
   std::uint64_t grid_cells_scanned() const { return perf_.grid_cells_scanned; }
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
@@ -165,7 +134,7 @@ class Medium {
   // --- sharded formations (DESIGN.md §12) ------------------------------
   // With a ShardLink installed this medium is one shard of a partitioned
   // city: client radios homed here become "shadows" (registered but absent
-  // from cohorts and grid — their phy presence lives on the shard owning
+  // from the grid — their phy presence lives on the shard owning
   // their channel stripe), remote clients appear as proxy slots, and
   // native transmissions near stripe cuts are mirrored to neighbours.
   // With no link (every serial run) all of these paths are dead and the
@@ -225,7 +194,7 @@ class Medium {
     /// Mutually exclusive with `radio`.
     ProxyInfo* proxy = nullptr;
     /// Client radio homed on this shard whose phy presence lives on the
-    /// channel-owning shard: registered (liveness, id) but in no cohort.
+    /// channel-owning shard: registered (liveness, id) but in no grid.
     bool shadow = false;
     std::uint32_t generation = 0;
     std::uint64_t attach_seq = 0;  ///< global attach order, for RNG stability
@@ -264,18 +233,6 @@ class Medium {
     bool mobile = false;  ///< member of the position-epoch sweep
   };
 
-  /// Channels below this bound (the whole 2.4 GHz band; the paper sweeps
-  /// {1,6,11}) use flat arrays for the per-channel radio cohort and the
-  /// impairment lookup — no hashing on the transmit path. Anything else
-  /// falls back to maps.
-  static constexpr int kFlatChannels = 15;
-  static bool flat_channel(wire::Channel c) {
-    return c >= 0 && c < kFlatChannels;
-  }
-
-  std::vector<std::uint32_t>& cohort(wire::Channel channel);
-  void cohort_insert(wire::Channel channel, std::uint32_t slot);
-  void cohort_remove(wire::Channel channel, std::uint32_t slot);
   /// Called by Radio when its tuned channel actually changes.
   void retune(Radio& radio, wire::Channel old_channel);
 
@@ -296,7 +253,7 @@ class Medium {
               BitRate rate, wire::Frame&& frame, std::uint32_t sender_slot,
               std::uint64_t exclude_gid);
 
-  // --- spatial grid (neighbor_index != kBruteForce) --------------------
+  // --- spatial grid -----------------------------------------------------
 
   /// Flat SoA storage for one grid cell: member slots and their attach
   /// seqs, kept sorted by attach_seq so the 3x3 gather is a 9-way sorted
@@ -351,19 +308,38 @@ class Medium {
     void rehash(std::size_t capacity);
   };
 
-  bool grid_enabled() const {
-    return config_.neighbor_index == NeighborIndex::kGrid;
+  /// Everything the medium keeps per channel: its grid, the roster of
+  /// its mobile slots (the position-epoch sweep's membership, so a transmit
+  /// sweeps only its own channel's mobiles; order is irrelevant for
+  /// determinism — rebucketing consumes no RNG — but kept stable anyway),
+  /// the sim timestamp of its last mobile sweep (positions are pure
+  /// functions of sim time, so buckets refreshed at `now` stay exact until
+  /// the clock advances), and its fault-injected extra loss.
+  struct ChannelState {
+    ChannelGrid grid;
+    std::vector<std::uint32_t> mobiles;
+    Time last_refresh{-1};
+    double impairment = 0.0;
+  };
+
+  /// Channels below this bound (the whole 2.4 GHz band; the paper sweeps
+  /// {1,6,11}) keep their state in a flat array — no hashing on the
+  /// transmit path. Anything else falls back to a map.
+  static constexpr int kFlatChannels = 15;
+  static bool flat_channel(wire::Channel c) {
+    return c >= 0 && c < kFlatChannels;
   }
+  /// The channel's record, created on first use.
+  ChannelState& channel_state(wire::Channel channel);
 
   static std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
            static_cast<std::uint32_t>(cy);
   }
   std::int32_t cell_coord(double meters) const;
-  ChannelGrid& grid(wire::Channel channel);
-  void grid_insert(wire::Channel channel, std::uint32_t slot,
+  void grid_insert(ChannelState& state, std::uint32_t slot,
                    const Position& pos);
-  void grid_remove(wire::Channel channel, std::uint32_t slot);
+  void grid_remove(ChannelState& state, std::uint32_t slot);
   /// Invariant breach on the grid hot path (a slot absent from its recorded
   /// cell): prints and aborts in every build flavour. Release builds used
   /// to ride an assert straight into UB on the dangling lookup.
@@ -376,50 +352,37 @@ class Medium {
   /// their motion-bound horizon (Slot::safe_until) proves they cannot have
   /// left their box — the amortisation that keeps the sweep sub-linear in
   /// mobiles per timestamp.
-  void refresh_mobile_buckets(wire::Channel channel);
+  void refresh_mobile_buckets(ChannelState& state);
   /// Earliest sim time at which a speed-bounded slot at `pos` could leave
   /// its bucket box (requires s.max_speed > 0). Measured against the box
   /// minus a 1 mm guard, with sec() truncating — every error source
   /// under-estimates the horizon, never over.
   Time motion_horizon(const Slot& s, const Position& pos) const;
-  /// Fills scratch_slots_ with the 3x3 neighborhood of `pos` on `channel`
-  /// via a 9-way merge of attach_seq-sorted cell lanes (the brute-force
-  /// visit order). Candidate positions and generations are read from the
+  /// Fills scratch_slots_ with the 3x3 neighborhood of `pos` in `grid`
+  /// via a 9-way merge of attach_seq-sorted cell lanes (the channel's
+  /// attach order). Candidate positions and generations are read from the
   /// central per-slot lanes, fresh as of refresh_mobile_buckets.
-  void gather_neighborhood(wire::Channel channel, const Position& pos);
-
-  std::vector<std::uint32_t>& mobiles(wire::Channel channel);
-  Time& last_refresh(wire::Channel channel);
+  void gather_neighborhood(const ChannelGrid& grid, const Position& pos);
+  /// Buckets a slot on `channel` (attach, proxy attach, retune): into the
+  /// grid, and into the mobile roster when `mobile`.
+  void place(wire::Channel channel, std::uint32_t slot, const Position& pos,
+             bool mobile, double max_speed);
+  /// The inverse of place (detach, proxy detach, retune).
+  void unplace(wire::Channel channel, std::uint32_t slot);
 
   sim::Simulator& sim_;
   Propagation propagation_;
   Rng rng_;
-  MediumConfig config_;
   double slack_m_ = 0.0;
   double cell_m_ = 0.0;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_attach_seq_ = 0;
-  /// Per-channel cohorts of slot ids, ordered by attach_seq so transmit
-  /// examines same-channel radios in exactly the order the old full-table
-  /// scan did (RNG draw order is part of the determinism contract).
-  std::array<std::vector<std::uint32_t>, kFlatChannels> cohorts_;
-  std::unordered_map<wire::Channel, std::vector<std::uint32_t>> cohorts_other_;
-
-  std::array<ChannelGrid, kFlatChannels> grids_;
-  std::unordered_map<wire::Channel, ChannelGrid> grids_other_;
-  /// Per-channel rosters of mobile slots (position-epoch sweep membership),
-  /// so a transmit sweeps only its own channel's mobiles. Order is
-  /// irrelevant for determinism — rebucketing consumes no RNG — but kept
-  /// stable anyway.
-  std::array<std::vector<std::uint32_t>, kFlatChannels> mobile_slots_;
-  std::unordered_map<wire::Channel, std::vector<std::uint32_t>> mobile_other_;
-  /// Sim timestamp of the last mobile sweep per channel; positions are pure
-  /// functions of sim time, so a channel's buckets refreshed at `now` stay
-  /// exact until the clock advances.
-  std::array<Time, kFlatChannels> last_refresh_;
-  std::unordered_map<wire::Channel, Time> last_refresh_other_;
+  /// Per-channel records: channels below kFlatChannels index the array,
+  /// the rest the map (whose references survive rehashes).
+  std::array<ChannelState, kFlatChannels> channels_flat_;
+  std::unordered_map<wire::Channel, ChannelState> channels_other_;
   /// Central per-slot position lanes (indexed by slot id). For static
   /// radios they are sampled once at grid_insert; for mobiles the
   /// position-epoch sweep rewrites them each distinct timestamp, so at
@@ -431,9 +394,6 @@ class Medium {
   /// Reused candidate scratch for grid queries (cleared per transmit; no
   /// steady-state allocation once its capacity plateaus).
   std::vector<std::uint32_t> scratch_slots_;
-
-  std::array<double, kFlatChannels> impairment_flat_{};
-  std::unordered_map<wire::Channel, double> impairments_other_;
 
   /// Sharded formations only (null in every serial run).
   ShardLink* shard_link_ = nullptr;

@@ -45,7 +45,7 @@ void Radio::begin_reset() {
     resetting_ = false;
     // The medium's channel index tracks channel_ exactly: membership moves
     // at the instant the retune completes, never while frames for the old
-    // channel are still addressed to this radio's cohort entry.
+    // channel are still addressed to this radio's grid entry.
     if (channel_ != old_channel) medium_.retune(*this, old_channel);
     pump_tx();
     if (tune.done) tune.done();

@@ -29,7 +29,7 @@ inline constexpr Time kShardLookahead = usec(192);
 inline constexpr double kShardSlopM = 1.0;
 
 /// Everything a shard needs to host a remote client's phy presence: a
-/// proxy slot that occupies the client's channel cohort and grid cell,
+/// proxy slot that occupies the client's grid cell on its channel,
 /// draws loss like a local radio would, and forwards its deliveries home.
 struct ShardProxyDesc {
   /// Global radio identity: the raw MAC of the client's physical radio.

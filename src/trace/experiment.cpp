@@ -105,7 +105,6 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
     TestbedConfig tb_config;
     tb_config.seed = S == 1 ? config.seed : shard_seed(config.seed, s);
     tb_config.propagation = config.propagation;
-    tb_config.medium.neighbor_index = config.neighbor_index;
     beds.push_back(std::make_unique<Testbed>(tb_config));
     beds.back()->sim.seed_ids(static_cast<std::uint64_t>(s) << 48);
     mediums.push_back(&beds.back()->medium);

@@ -64,9 +64,7 @@ struct ScenarioConfig {
   /// (e.g. loaded from a wardriving CSV via mob::read_sites_csv_file).
   std::vector<mob::ApSite> fixed_sites;
   phy::PropagationConfig propagation;
-  /// Medium neighbor search: the spatial grid by default; brute force is
-  /// the differential-test oracle (results are byte-identical in both
-  /// modes — the choice is purely a cost decision).
+  /// Unread; remains only for the benchmark driver's assignment to it.
   phy::NeighborIndex neighbor_index = phy::NeighborIndex::kGrid;
   net::DhcpServerConfig dhcp_server;
   Time backhaul_delay = msec(10);

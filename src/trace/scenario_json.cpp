@@ -303,11 +303,7 @@ void write_scenario_json(std::ostream& os, const ScenarioConfig& config) {
     first = false;
     os << '[' << channel << ',' << json_number(fraction) << ']';
   }
-  os << "]}"
-     << ",\"neighbor_index\":\""
-     << (config.neighbor_index == phy::NeighborIndex::kGrid ? "grid"
-                                                            : "brute")
-     << '"';
+  os << "]}";
   if (config.city) {
     os << ",\"city\":{\"width_m\":" << json_number(config.city->width_m)
        << ",\"height_m\":" << json_number(config.city->height_m)
@@ -438,15 +434,6 @@ bool parse_scenario_json(const Json& json, ScenarioConfig* config,
             pair.elements()[1].number_or(0.0));
       }
       out.spider.mode = mode;
-    } else if (key == "neighbor_index") {
-      const std::string name = value.string_or("");
-      if (name == "grid") {
-        out.neighbor_index = phy::NeighborIndex::kGrid;
-      } else if (name == "brute") {
-        out.neighbor_index = phy::NeighborIndex::kBruteForce;
-      } else {
-        return set_error(error, "neighbor_index must be grid|brute");
-      }
     } else if (key == "road_length_m") {
       out.deployment.road_length_m = value.number_or(0.0);
     } else if (key == "aps_per_km") {

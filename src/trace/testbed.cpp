@@ -4,8 +4,8 @@ namespace spider::trace {
 
 Testbed::Testbed(TestbedConfig config)
     : sim(),
-      medium(sim, phy::Propagation(config.propagation), Rng(config.seed * 7919 + 1),
-             config.medium),
+      medium(sim, phy::Propagation(config.propagation),
+             Rng(config.seed * 7919 + 1)),
       wired(sim),
       server(wired, config.server_ip),
       downloads(sim, server, config.tcp),

@@ -29,10 +29,6 @@ struct TestbedConfig {
   phy::PropagationConfig propagation;
   wire::Ipv4 server_ip = wire::Ipv4(1, 1, 1, 1);
   tcp::TcpConfig tcp;
-  /// Medium knobs (neighbor index, grid cell size, ARQ retry budget),
-  /// forwarded verbatim. Defaults keep the spatial grid on; experiments
-  /// flip `medium.neighbor_index` to brute force for differential runs.
-  phy::MediumConfig medium;
 };
 
 class Testbed {

@@ -244,9 +244,10 @@ TEST(Protocol, ShardsRoundTripsAndBadValuesFailValidation) {
 }
 
 TEST(Protocol, UnknownScenarioKeyIsAnError) {
-  // A typo, and a knob the scenario no longer has (the grid cell is
-  // always range + slack).
-  for (const std::string key : {"durationn_s", "grid_cell_m"}) {
+  // A typo, and knobs the scenario no longer has (the grid cell is always
+  // range + slack, and the grid is the medium's only neighbor index).
+  for (const std::string key :
+       {"durationn_s", "grid_cell_m", "neighbor_index"}) {
     const std::optional<util::Json> json =
         util::Json::parse(R"({"seed":1,")" + key + R"(":30})");
     ASSERT_TRUE(json.has_value());
@@ -399,13 +400,6 @@ TEST(Protocol, ExtensionErrorsNameTheOffendingField) {
       "impairments.samples[0] must be [t_s, channel, occupancy] numbers");
   EXPECT_EQ(scenario_parse_failure(R"({"impairments":{"kind":"synthetic","x":1}})"),
             "unknown impairments key 'x'");
-}
-
-TEST(Protocol, NeighborIndexIsGridOrBrute) {
-  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"grid"})"), "");
-  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"brute"})"), "");
-  EXPECT_EQ(scenario_parse_failure(R"({"neighbor_index":"auto"})"),
-            "neighbor_index must be grid|brute");
 }
 
 TEST(Protocol, OnlineStatsMomentsReconstructExactly) {

@@ -3,13 +3,17 @@
 // The grid is a pure search-space optimisation: for any deployment, traffic
 // pattern, and seed, a grid-indexed medium must produce the byte-identical
 // delivered-frame sequence — same receivers, same timestamps, same ARQ
-// outcomes — as the brute-force per-channel scan, because candidate visit
-// order (and therefore RNG draw order) is preserved. The brute-force path
-// is the oracle; these tests replay randomized worlds through both and
-// diff everything observable.
+// outcomes — as a brute-force scan of the sender's channel, because
+// candidate visit order (and therefore RNG draw order) is preserved. The
+// oracle is the same medium with one cell larger than the world
+// (MediumTestPeer::single_cell): its 3x3 neighborhood is the channel's
+// whole membership in attach order, which is exactly the brute-force scan.
+// These tests replay randomized worlds through both and diff everything
+// observable.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -25,7 +29,8 @@ namespace spider::phy {
 
 /// Test-only backdoor: corrupts private medium state to pin the checked
 /// fatal-error paths (a release build used to ride an `assert` straight
-/// into UB) and the empty-candidate-set counter guard.
+/// into UB) and the empty-candidate-set counter guard, and builds the
+/// one-cell reference medium.
 struct MediumTestPeer {
   static void corrupt_recorded_cell(Medium& m, Radio& r) {
     auto& s = m.slots_[r.medium_slot_];
@@ -33,14 +38,36 @@ struct MediumTestPeer {
     s.qx0 = 1.0;  // empty quick-accept box: force the exact binning path
     s.qx1 = 0.0;
   }
-  static void drop_from_cohort(Medium& m, Radio& r) {
-    m.cohort_remove(r.channel(), r.medium_slot_);
+  /// Takes `r` out of its grid cell, so its transmit gathers nobody, not
+  /// even itself. restore_to_cell must put it back before it detaches.
+  static void drop_from_cell(Medium& m, Radio& r) {
+    m.grid_remove(m.channel_state(r.channel()), r.medium_slot_);
+  }
+  static void restore_to_cell(Medium& m, Radio& r) {
+    m.grid_insert(m.channel_state(r.channel()), r.medium_slot_, r.position());
+  }
+  /// Turns `m` into the brute-force reference: one cell edge of 1000 km,
+  /// so every radio of a test world buckets into cell 0 or -1 and any 3x3
+  /// neighborhood holds the channel's whole membership, merged in attach
+  /// order. A slack of half a cell keeps each radio in its first bucket,
+  /// so the reference never rebuckets, as a scan would not. Must run
+  /// before any radio attaches.
+  static void single_cell(Medium& m) {
+    m.cell_m_ = 1e6;
+    m.slack_m_ = m.cell_m_ / 2;
   }
 };
 
 namespace {
 
-constexpr wire::Channel kChannels[3] = {1, 6, 11};
+/// The two media every differential test compares: the production grid
+/// and the one-cell brute-force reference.
+enum class Index { kGrid, kOneCell };
+constexpr Index kIndexes[] = {Index::kGrid, Index::kOneCell};
+
+void apply_index(Medium& m, Index index) {
+  if (index == Index::kOneCell) MediumTestPeer::single_cell(m);
+}
 
 PropagationConfig lossless_config(double range = 100.0) {
   PropagationConfig c;
@@ -48,12 +75,6 @@ PropagationConfig lossless_config(double range = 100.0) {
   c.good_radius_m = range;  // no gray zone: in range means delivered
   c.range_m = range;
   return c;
-}
-
-MediumConfig indexed(NeighborIndex mode) {
-  MediumConfig mc;
-  mc.neighbor_index = mode;
-  return mc;
 }
 
 wire::Frame broadcast_frame(std::size_t bytes = 100) {
@@ -91,14 +112,19 @@ struct WorldShape {
   /// on cell-multiple coordinates. Appended after the random radios, so 0
   /// leaves the historical corpus untouched.
   int boundary_riders = 0;
+  /// The channels radios tune to and retune between.
+  std::array<wire::Channel, 3> channels = {1, 6, 11};
+  /// When nonzero, a channel that loses every frame from 1 s to 2.5 s
+  /// (set_channel_impairment(…, 1.0), then clear_channel_impairment).
+  wire::Channel impaired = 0;
 };
 
-/// One randomized deployment driven by `seed`, executed under the given
-/// neighbor index. Every stochastic choice — world shape, radio placement,
+/// One randomized deployment driven by `seed`, executed on the given
+/// index. Every stochastic choice — world shape, radio placement,
 /// mobility, channels, the event script, and the medium's loss draws — is a
-/// pure function of (seed, script), so two calls with different `mode`
+/// pure function of (seed, script), so two calls with different `index`
 /// simulate the same world through different search structures.
-WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
+WorldResult run_world(Index index, std::uint64_t seed,
                       const WorldShape& shape = {}) {
   Rng setup(seed);
   const int n = static_cast<int>(setup.uniform_int(2, 40));
@@ -110,7 +136,13 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
   const double mobile_fraction = setup.uniform(0.0, 1.0);
 
   sim::Simulator sim;
-  Medium medium(sim, Propagation(pc), Rng(seed * 31 + 7), indexed(mode));
+  Medium medium(sim, Propagation(pc), Rng(seed * 31 + 7));
+  // Boundary riders follow the production grid's cell edges in both runs,
+  // so its cell and slack are read before the reference replaces them.
+  const double cell = medium.grid_cell_m();
+  const double slack = medium.grid_slack_m();
+  apply_index(medium, index);
+  const auto& channels = shape.channels;
 
   WorldResult out;
   const auto log_delivery = [&out, &sim](int i) {
@@ -140,14 +172,12 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
         },
         rc));
     radios.back()->set_receiver(log_delivery(i));
-    radios.back()->tune(kChannels[setup.uniform_int(0, 2)]);
+    radios.back()->tune(channels[setup.uniform_int(0, 2)]);
   }
   // Boundary riders: one coordinate pinned to k * cell (+ a fraction of the
   // slack), the other sweeping along at a constant speed. The cell edge is
-  // a pure function of the propagation config, so both modes build the
+  // a pure function of the propagation config, so both indexes build the
   // same routes.
-  const double cell = medium.grid_cell_m();
-  const double slack = medium.grid_slack_m();
   constexpr double kRiderOffsets[] = {0.0, 0.0, 0.5, -0.5, 1.0, -1.0};
   for (int r = 0; r < shape.boundary_riders; ++r) {
     const int i = static_cast<int>(radios.size());
@@ -169,14 +199,14 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
         },
         rc));
     radios.back()->set_receiver(log_delivery(i));
-    radios.back()->tune(kChannels[setup.uniform_int(0, 2)]);
+    radios.back()->tune(channels[setup.uniform_int(0, 2)]);
   }
   const int total = static_cast<int>(radios.size());
 
   // Scripted traffic: sends (broadcast and unicast, exercising ARQ),
   // mid-run retunes, and mid-run detaches (radio destruction with frames
   // potentially in flight). All draws happen here, before the clock runs,
-  // so the script is identical across modes.
+  // so the script is identical across indexes.
   constexpr int kEvents = 150;
   for (int e = 0; e < kEvents; ++e) {
     const Time at = usec(setup.uniform_int(10'000, 3'000'000));
@@ -195,13 +225,21 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
         if (radios[idx]) radios[idx]->send(f);
       });
     } else if (kind < 90) {
-      const wire::Channel ch = kChannels[setup.uniform_int(0, 2)];
+      const wire::Channel ch = channels[setup.uniform_int(0, 2)];
       sim.post(at, [&radios, idx, ch] {
         if (radios[idx]) radios[idx]->tune(ch);
       });
     } else {
       sim.post(at, [&radios, idx] { radios[idx].reset(); });
     }
+  }
+  if (shape.impaired != 0) {
+    sim.post(sec(1), [&medium, &shape] {
+      medium.set_channel_impairment(shape.impaired, 1.0);
+    });
+    sim.post(msec(2500), [&medium, &shape] {
+      medium.clear_channel_impairment(shape.impaired);
+    });
   }
   sim.run_until(sec(4));
 
@@ -217,16 +255,17 @@ WorldResult run_world(NeighborIndex mode, std::uint64_t seed,
 
 TEST(SpatialIndexDifferential, GridMatchesBruteForceAcross200Deployments) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult grid = run_world(NeighborIndex::kGrid, seed);
-    const WorldResult brute = run_world(NeighborIndex::kBruteForce, seed);
+    const WorldResult grid = run_world(Index::kGrid, seed);
+    const WorldResult brute = run_world(Index::kOneCell, seed);
     ASSERT_EQ(grid.log, brute.log) << "delivered-frame sequence diverged at "
                                    << "seed " << seed;
     ASSERT_EQ(grid.sent, brute.sent) << "seed " << seed;
     ASSERT_EQ(grid.delivered, brute.delivered) << "seed " << seed;
     ASSERT_EQ(grid.dropped_at_rx, brute.dropped_at_rx) << "seed " << seed;
     ASSERT_EQ(grid.fanout, brute.fanout) << "seed " << seed;
-    // The search counters are mode-specific by design: the grid may only
-    // ever examine a subset of the brute-force cohort.
+    // The search counters are index-specific by design: the grid may only
+    // ever examine a subset of the channel's membership, which the
+    // reference examines whole.
     ASSERT_LE(grid.candidates, brute.candidates) << "seed " << seed;
     ASSERT_EQ(brute.rebuckets, 0u) << "seed " << seed;
   }
@@ -237,14 +276,14 @@ TEST(SpatialIndexDifferential, GridMatchesBruteForceAcross200Deployments) {
 // transmit loop re-sample skipped candidates lazily. That amortisation
 // must be invisible: the delivered log and *every* counter — including
 // rebuckets and cells scanned, which depend on when positions are sampled
-// — must match the per-timestamp re-sampling run and brute force exactly.
+// — must match the per-timestamp re-sampling run and the reference exactly.
 TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
   WorldShape hinted;
   hinted.declare_speed = true;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult fast = run_world(NeighborIndex::kGrid, seed, hinted);
-    const WorldResult plain = run_world(NeighborIndex::kGrid, seed);
-    const WorldResult brute = run_world(NeighborIndex::kBruteForce, seed);
+    const WorldResult fast = run_world(Index::kGrid, seed, hinted);
+    const WorldResult plain = run_world(Index::kGrid, seed);
+    const WorldResult brute = run_world(Index::kOneCell, seed);
     ASSERT_EQ(fast.log, plain.log) << "seed " << seed;
     ASSERT_EQ(fast.log, brute.log) << "seed " << seed;
     ASSERT_EQ(fast.sent, plain.sent) << "seed " << seed;
@@ -260,7 +299,7 @@ TEST(SpatialIndexDifferential, DeclaredSpeedBoundIsPureWallClockChange) {
 // Boundary riders exercise the bucket hysteresis: a mobile on a cell-edge
 // street keeps whichever bucket it entered until it strays a full slack
 // away, so its bucket is often not its true cell. The grid must still find
-// every in-range receiver (delivered log equal to brute force), and the
+// every in-range receiver (delivered log equal to the reference), and the
 // declared-speed amortisation must stay invisible on those routes too.
 TEST(SpatialIndexDifferential, BoundaryRidersMatchBruteForceAcross200Seeds) {
   WorldShape riders;
@@ -269,10 +308,9 @@ TEST(SpatialIndexDifferential, BoundaryRidersMatchBruteForceAcross200Seeds) {
   hinted.declare_speed = true;
   std::uint64_t rebuckets = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const WorldResult fast = run_world(NeighborIndex::kGrid, seed, hinted);
-    const WorldResult plain = run_world(NeighborIndex::kGrid, seed, riders);
-    const WorldResult brute =
-        run_world(NeighborIndex::kBruteForce, seed, riders);
+    const WorldResult fast = run_world(Index::kGrid, seed, hinted);
+    const WorldResult plain = run_world(Index::kGrid, seed, riders);
+    const WorldResult brute = run_world(Index::kOneCell, seed, riders);
     ASSERT_EQ(plain.log, brute.log) << "seed " << seed;
     ASSERT_EQ(fast.log, brute.log) << "seed " << seed;
     ASSERT_EQ(plain.delivered, brute.delivered) << "seed " << seed;
@@ -287,6 +325,59 @@ TEST(SpatialIndexDifferential, BoundaryRidersMatchBruteForceAcross200Seeds) {
   EXPECT_GT(rebuckets, 0u) << "no rider ever left its bucket box";
 }
 
+// Channels 36 and 149 live in the map half of the medium's per-channel
+// records, channel 1 in the flat array. Radios retune across the two, and
+// channel 36 loses every frame for 1.5 s of sim time through a set and
+// then cleared impairment; the grid must still match the reference.
+TEST(SpatialIndexDifferential, MapChannelsMatchBruteForceAcross100Seeds) {
+  WorldShape wide;
+  wide.channels = {1, 36, 149};
+  WorldShape impaired = wide;
+  impaired.impaired = 36;
+  std::uint64_t delivered_clear = 0;
+  std::uint64_t delivered_impaired = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const WorldShape* shape : {&wide, &impaired}) {
+      const WorldResult grid = run_world(Index::kGrid, seed, *shape);
+      const WorldResult brute = run_world(Index::kOneCell, seed, *shape);
+      ASSERT_EQ(grid.log, brute.log) << "seed " << seed;
+      ASSERT_EQ(grid.sent, brute.sent) << "seed " << seed;
+      ASSERT_EQ(grid.delivered, brute.delivered) << "seed " << seed;
+      ASSERT_EQ(grid.dropped_at_rx, brute.dropped_at_rx) << "seed " << seed;
+      ASSERT_EQ(grid.fanout, brute.fanout) << "seed " << seed;
+      ASSERT_LE(grid.candidates, brute.candidates) << "seed " << seed;
+      (shape == &wide ? delivered_clear : delivered_impaired) +=
+          grid.delivered;
+    }
+  }
+  EXPECT_GT(delivered_impaired, 0u);
+  EXPECT_LT(delivered_impaired, delivered_clear)
+      << "the impairment on channel 36 never reached the fan-out";
+}
+
+// A channel's record outlives its impairment: clearing zeroes the loss,
+// and reading another map channel's impairment reports 0.
+TEST(SpatialIndexProperty, MapChannelImpairmentSetsAndClears) {
+  sim::Simulator sim;
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
+  Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; });
+  Radio rx(medium, wire::MacAddress(2), [] { return Position{50.0, 0.0}; });
+  tx.tune(36);
+  rx.tune(36);
+  sim.run_until(msec(50));
+  medium.set_channel_impairment(36, 1.0);
+  EXPECT_DOUBLE_EQ(medium.channel_impairment(36), 1.0);
+  EXPECT_DOUBLE_EQ(medium.channel_impairment(149), 0.0);
+  tx.send(broadcast_frame());
+  sim.run_until(msec(100));
+  EXPECT_EQ(medium.frames_delivered(), 0u);
+  medium.clear_channel_impairment(36);
+  EXPECT_DOUBLE_EQ(medium.channel_impairment(36), 0.0);
+  tx.send(broadcast_frame());
+  sim.run_until(msec(150));
+  EXPECT_EQ(medium.frames_delivered(), 1u);
+}
+
 // --- checked fatal errors --------------------------------------------
 // grid_remove and refresh_mobile_buckets used to guard missing-cell
 // lookups with `assert` only — release builds (-DNDEBUG) rode straight
@@ -299,8 +390,7 @@ TEST(SpatialIndexDeathTest, GridRemoveWithCorruptCellAbortsCleanly) {
   EXPECT_DEATH(
       {
         sim::Simulator sim;
-        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
-                      indexed(NeighborIndex::kGrid));
+        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
         auto radio = std::make_unique<Radio>(
             medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; });
         radio->tune(6);
@@ -314,8 +404,7 @@ TEST(SpatialIndexDeathTest, MobileRefreshWithCorruptCellAbortsCleanly) {
   EXPECT_DEATH(
       {
         sim::Simulator sim;
-        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
-                      indexed(NeighborIndex::kGrid));
+        Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
         Radio mobile(medium, wire::MacAddress(1), [&sim] {
           return Position{95.0 + 50.0 * to_seconds(sim.now()), 0.0};
         });
@@ -330,36 +419,40 @@ TEST(SpatialIndexDeathTest, MobileRefreshWithCorruptCellAbortsCleanly) {
 
 // --- counter guard: empty candidate set ------------------------------
 // candidates_examined_ += size - 1 assumed the sender is always a member
-// of its own candidate set; an empty cohort would wrap the counter to
-// ~2^64. Pin the guard through the test-only cohort backdoor.
+// of its own candidate set; an empty neighborhood would wrap the counter
+// to ~2^64. Pin the guard by taking the sender out of its cell through
+// the test-only backdoor.
 
 TEST(SpatialIndexCounter, EmptyCandidateSetDoesNotUnderflowCounter) {
   sim::Simulator sim;
-  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
-                indexed(NeighborIndex::kBruteForce));
-  Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; });
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
+  RadioConfig stationary;
+  stationary.mobile = false;
+  Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; },
+           stationary);
   tx.tune(6);
   sim.run_until(msec(10));
-  MediumTestPeer::drop_from_cohort(medium, tx);
+  MediumTestPeer::drop_from_cell(medium, tx);
   tx.send(broadcast_frame());
   sim.run_until(msec(50));
+  MediumTestPeer::restore_to_cell(medium, tx);
   EXPECT_EQ(medium.candidates_examined(), 0u);
   EXPECT_EQ(medium.frames_sent(), 1u);
+  EXPECT_EQ(medium.grid_cells_scanned(), 0u);
 }
 
 TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
+  for (const Index index : kIndexes) {
     sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
-                  indexed(mode));
+    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1));
+    apply_index(medium, index);
     Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; });
     tx.tune(6);
     sim.run_until(msec(10));
     tx.send(broadcast_frame());
     sim.run_until(msec(50));
     EXPECT_EQ(medium.candidates_examined(), 0u)
-        << "mode " << static_cast<int>(mode);
+        << "index " << static_cast<int>(index);
   }
 }
 
@@ -369,28 +462,29 @@ TEST(SpatialIndexCounter, LoneSenderExaminesNobody) {
 // so it must never run while an outer transmit is still iterating them —
 // deliveries are posted events, never synchronous calls from the candidate
 // loop, and this test pins that: if an inner transmit ever clobbered the
-// outer iteration, the delivered sets would diverge between grid (scratch
-// lanes) and brute force (cohort vector, clobber-immune).
+// outer iteration, some transmit would reach other than the five radios in
+// its range, and the grid (two cells merged) would diverge from the
+// reference (one cell).
 
 TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
   std::string logs[2];
   int slot = 0;
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
+  for (const Index index : kIndexes) {
     sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(23),
-                  indexed(mode));
+    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(23));
+    apply_index(medium, index);
     RadioConfig rc;
     rc.mobile = false;
-    // A ring of radios all in range of each other: every broadcast fans
-    // out to everyone, and every delivery triggers another broadcast
-    // (depth-limited), so inner transmits pile onto outer ones.
+    // A line of radios all in range of each other, straddling the grid's
+    // x = 0 cell edge: every broadcast fans out to everyone, and every
+    // delivery triggers another broadcast (depth-limited), so inner
+    // transmits pile onto outer ones.
     constexpr std::size_t kRadios = 6;
     std::vector<std::unique_ptr<Radio>> radios;
     std::string& log = logs[slot];
     int budget = 30;  // echo depth limit so the chain terminates
     for (std::size_t i = 0; i < kRadios; ++i) {
-      const Position p{static_cast<double>(i) * 10.0, 0.0};
+      const Position p{static_cast<double>(i) * 10.0 - 25.0, 0.0};
       radios.push_back(std::make_unique<Radio>(
           medium, wire::MacAddress(i + 1), [p] { return p; }, rc));
     }
@@ -414,7 +508,12 @@ TEST(SpatialIndexProperty, ReentrantTransmitFromDeliverIsClobberSafe) {
     radios[0]->send(f);
     sim.run_until(sec(2));
     EXPECT_GT(medium.frames_delivered(), 30u)
-        << "mode " << static_cast<int>(mode);
+        << "index " << static_cast<int>(index);
+    EXPECT_EQ(medium.fanout_scheduled(),
+              (kRadios - 1) * medium.frames_sent())
+        << "index " << static_cast<int>(index);
+    EXPECT_EQ(medium.frames_delivered(), medium.fanout_scheduled())
+        << "index " << static_cast<int>(index);
     ++slot;
   }
   EXPECT_EQ(logs[0], logs[1]);
@@ -449,11 +548,10 @@ TEST(SpatialIndexProperty, BoundaryRadiosAtExactRangeAreDelivered) {
     if (distance({0.0, 0.0}, p) <= range) ++expected;
   }
 
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
+  for (const Index index : kIndexes) {
     sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(range)), Rng(7),
-                  indexed(mode));
+    Medium medium(sim, Propagation(lossless_config(range)), Rng(7));
+    apply_index(medium, index);
     RadioConfig rc;
     rc.mobile = false;
     Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; },
@@ -471,9 +569,9 @@ TEST(SpatialIndexProperty, BoundaryRadiosAtExactRangeAreDelivered) {
     sim.run_until(msec(50));
     tx.send(broadcast_frame());
     sim.run_until(msec(100));
-    EXPECT_EQ(received, expected) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(received, expected) << "index " << static_cast<int>(index);
     EXPECT_EQ(medium.frames_delivered(), expected)
-        << "mode " << static_cast<int>(mode);
+        << "index " << static_cast<int>(index);
   }
 }
 
@@ -484,20 +582,20 @@ TEST(SpatialIndexProperty, BoundaryRadiosAtExactRangeAreDelivered) {
 // receive one twice (it leaves its old bucket in the same sweep).
 
 TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
+  for (const Index index : kIndexes) {
     sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(11),
-                  indexed(mode));
+    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(11));
+    // Starts in the grid's cell 0 and leaves its bucket box — cell 0 grown
+    // by the hysteresis slack — at t = 0.1 s, while staying well inside the
+    // transmitter's range throughout. The route follows the production
+    // grid in both runs.
+    const double exit_x = medium.grid_cell_m() + medium.grid_slack_m();
+    const double speed = 15.0 * medium.grid_slack_m();  // per second
+    apply_index(medium, index);
     RadioConfig stationary;
     stationary.mobile = false;
     Radio tx(medium, wire::MacAddress(1),
              [] { return Position{150.0, 50.0}; }, stationary);
-    // Starts in cell 0 and leaves its bucket box — cell 0 grown by the
-    // hysteresis slack — at t = 0.1 s, while staying well inside the
-    // transmitter's range throughout.
-    const double exit_x = medium.grid_cell_m() + medium.grid_slack_m();
-    const double speed = 15.0 * medium.grid_slack_m();  // per second
     Radio rx(medium, wire::MacAddress(2), [&sim, exit_x, speed] {
       return Position{exit_x + speed * (to_seconds(sim.now()) - 0.1), 50.0};
     });
@@ -513,12 +611,12 @@ TEST(SpatialIndexProperty, RebucketingNeverDoublesOrDropsDeliveries) {
       sim.post(usec(500) * i, [&tx] { tx.send(broadcast_frame(1500)); });
     }
     sim.run_until(msec(200));
-    EXPECT_EQ(received, kFrames) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(received, kFrames) << "index " << static_cast<int>(index);
     EXPECT_EQ(medium.frames_dropped_at_rx(), 0u)
-        << "mode " << static_cast<int>(mode);
+        << "index " << static_cast<int>(index);
     EXPECT_EQ(medium.frames_delivered(), static_cast<std::uint64_t>(kFrames))
-        << "mode " << static_cast<int>(mode);
-    if (mode == NeighborIndex::kGrid) {
+        << "index " << static_cast<int>(index);
+    if (index == Index::kGrid) {
       EXPECT_GT(medium.grid_rebuckets(), 0u);
     }
   }
@@ -538,11 +636,11 @@ struct RiderRun {
   std::uint64_t rebuckets = 0;
 };
 
-RiderRun run_boundary_rider(NeighborIndex mode, int frames, Time horizon) {
+RiderRun run_boundary_rider(Index index, int frames, Time horizon) {
   sim::Simulator sim;
-  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(29),
-                indexed(mode));
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(29));
   const double cell = medium.grid_cell_m();
+  apply_index(medium, index);
   constexpr double kSpeed = 10.0;
   RiderRun run;
   RadioConfig stationary;
@@ -595,11 +693,11 @@ RiderRun run_boundary_rider(NeighborIndex mode, int frames, Time horizon) {
 TEST(SpatialIndexProperty, BoundaryRiderSamplingScalesWithDistanceNotFrames) {
   const Time horizon = sec(4);
   const RiderRun sparse =
-      run_boundary_rider(NeighborIndex::kGrid, 500, horizon);
+      run_boundary_rider(Index::kGrid, 500, horizon);
   const RiderRun dense =
-      run_boundary_rider(NeighborIndex::kGrid, 4000, horizon);
+      run_boundary_rider(Index::kGrid, 4000, horizon);
   const RiderRun oracle =
-      run_boundary_rider(NeighborIndex::kBruteForce, 4000, horizon);
+      run_boundary_rider(Index::kOneCell, 4000, horizon);
   EXPECT_EQ(dense.log, oracle.log);
   EXPECT_FALSE(dense.log.empty());
   // Sweep samples: about sim time x speed / slack = 4 s x 10 m/s / 10 m
@@ -609,7 +707,8 @@ TEST(SpatialIndexProperty, BoundaryRiderSamplingScalesWithDistanceNotFrames) {
   EXPECT_LE(dense.rider_position_calls, 2 + 4 + sweep_budget);
   EXPECT_EQ(dense.rider_position_calls, sparse.rider_position_calls)
       << "sampling grew with the frame count";
-  // Brute force samples every cohort member per transmit.
+  // The reference samples every channel member per transmit, as a
+  // brute-force scan does.
   EXPECT_GT(oracle.rider_position_calls, 4000 * 9 / 10);
   // Leaves cell 0's grown box (x >= cell + slack) at t = 3 s.
   EXPECT_EQ(dense.rebuckets, 1u);
@@ -617,8 +716,7 @@ TEST(SpatialIndexProperty, BoundaryRiderSamplingScalesWithDistanceNotFrames) {
 
 TEST(SpatialIndexProperty, StationaryWorldNeverRebuckets) {
   sim::Simulator sim;
-  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(3),
-                indexed(NeighborIndex::kGrid));
+  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(3));
   RadioConfig stationary;
   stationary.mobile = false;
   std::vector<std::unique_ptr<Radio>> radios;
@@ -642,18 +740,17 @@ TEST(SpatialIndexProperty, StationaryWorldNeverRebuckets) {
 }
 
 // --- property: the grid actually prunes ------------------------------
-// On a spread-out deployment most of the cohort is out of range; the grid
+// On a spread-out deployment most of the channel is out of range; the grid
 // must examine strictly fewer candidates while delivering exactly the same
 // frames.
 
 TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
   WorldResult results[2];
   int slot = 0;
-  for (const NeighborIndex mode :
-       {NeighborIndex::kGrid, NeighborIndex::kBruteForce}) {
+  for (const Index index : kIndexes) {
     sim::Simulator sim;
-    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(5),
-                  indexed(mode));
+    Medium medium(sim, Propagation(lossless_config(100.0)), Rng(5));
+    apply_index(medium, index);
     RadioConfig stationary;
     stationary.mobile = false;
     std::vector<std::unique_ptr<Radio>> radios;
@@ -689,23 +786,6 @@ TEST(SpatialIndexConfig, CellSizeClampsUpToPropagationRange) {
   Medium derived(sim, Propagation(lossless_config(100.0)), Rng(1));
   EXPECT_DOUBLE_EQ(derived.grid_slack_m(), 10.0);
   EXPECT_DOUBLE_EQ(derived.grid_cell_m(), 110.0);
-  EXPECT_EQ(derived.config().neighbor_index, NeighborIndex::kGrid);
-}
-
-TEST(SpatialIndexConfig, BruteForceScansNoCells) {
-  sim::Simulator sim;
-  Medium medium(sim, Propagation(lossless_config(100.0)), Rng(1),
-                indexed(NeighborIndex::kBruteForce));
-  Radio tx(medium, wire::MacAddress(1), [] { return Position{0.0, 0.0}; });
-  Radio rx(medium, wire::MacAddress(2), [] { return Position{50.0, 0.0}; });
-  tx.tune(6);
-  rx.tune(6);
-  sim.run_until(msec(50));
-  tx.send(broadcast_frame());
-  sim.run_until(msec(100));
-  EXPECT_EQ(medium.frames_delivered(), 1u);
-  EXPECT_EQ(medium.grid_cells_scanned(), 0u);
-  EXPECT_EQ(medium.grid_rebuckets(), 0u);
 }
 
 }  // namespace
