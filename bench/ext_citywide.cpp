@@ -14,7 +14,9 @@
 // the channel is pinned in tests/test_spatial_index.cpp.
 //
 // Stdout is deterministic (counters and bytes only); wall-clock rates go
-// to the JSON file (written only with --json PATH) and --perf-csv.
+// to the JSON file (written only with --json PATH) and --perf-csv. The
+// JSON's per-cell walls come from a pass that runs one cell at a time, so
+// a cell's wall never includes the pool neighbours of the sweep.
 //
 // --shards LIST (e.g. --shards 1,2,4) appends the intra-run parallelism
 // axis (DESIGN.md §12): the heaviest cell of the mode runs in seven rounds,
@@ -188,15 +190,21 @@ int main(int argc, char** argv) {
 
   const auto results = cli.run(configs);
 
+  // An unshared pass: each cell runs alone, so its wall (the JSON's
+  // wall_s and sim_per_wall) does not include its pool neighbours'.
+  std::vector<trace::ScenarioResult> serial;
+  if (smoke || !json_path.empty()) {
+    auto opts1 = cli.sweep;
+    opts1.jobs = 1;
+    serial = trace::ScenarioRunner(opts1).run_many(configs);
+  }
+
   bool ok = true;
   if (smoke) {
     // Scale determinism pin: the whole sweep must digest identically on a
     // serial and an 8-wide pool.
-    auto opts1 = cli.sweep;
-    opts1.jobs = 1;
     auto opts8 = cli.sweep;
     opts8.jobs = 8;
-    const auto serial = trace::ScenarioRunner(opts1).run_many(configs);
     const auto wide = trace::ScenarioRunner(opts8).run_many(configs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (digest(serial[i]) != digest(wide[i]) ||
@@ -359,7 +367,7 @@ int main(int argc, char** argv) {
       std::fprintf(out, "{\n  \"host\": %s,\n  \"cells\": [\n",
                    bench::host_json().c_str());
       for (std::size_t c = 0; c < cells.size(); ++c) {
-        const trace::ScenarioResult& r = results[c];
+        const trace::ScenarioResult& r = serial[c];
         std::fprintf(
             out,
             "    {\"aps\": %zu, \"clients\": %d, "

@@ -3,7 +3,7 @@
 //
 //   1. starts two ScenarioServers, one with an injected worker stall;
 //   2. runs a ≥1000-seed campaign across both, with per-run deadlines —
-//      the stalled run must be reaped by the watchdog and retried;
+//      the stalled run must end on its deadline and be retried;
 //   3. cancels the campaign mid-flight (simulating a killed client) and
 //      hard-kills one server;
 //   4. resumes from the journal against the surviving server;
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
   // Phase 1: campaign over both servers; a watcher kills the campaign once
   // a fifth of the seeds are journaled (the "operator hit ^C" moment).
   // Seed stall_seed wedges on whichever server first runs it and must come
-  // back as deadline-exceeded via the watchdog, then succeed on retry.
+  // back as deadline-exceeded once its deadline passes, then succeed on
+  // retry.
   sim::CancelToken phase1_cancel;
   serve::CampaignConfig campaign;
   campaign.servers = {socket_a, socket_b};
@@ -132,11 +133,11 @@ int main(int argc, char** argv) {
       server_a.metrics_snapshot().value("serve.stalls_injected") +
       server_b.metrics_snapshot().value("serve.stalls_injected");
   const double phase1_reaps =
-      server_a.metrics_snapshot().value("serve.watchdog_reaps") +
-      server_b.metrics_snapshot().value("serve.watchdog_reaps");
+      server_a.metrics_snapshot().value("serve.deadline_exceeded") +
+      server_b.metrics_snapshot().value("serve.deadline_exceeded");
   check(phase1_stalls >= 1.0, "fault injection: worker stall fired");
   check(phase1_reaps == phase1_stalls,
-        "watchdog: every stalled run reaped exactly once");
+        "deadline: every stalled run reaped exactly once");
 
   // Phase 2: hard-kill server B, then resume from the journal. The dead
   // server's socket stays in the list — its workers must fail over.
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
         "phase 2: journal seeds not recomputed");
 
   // The merged statistics must equal a serial in-process sweep, bit for
-  // bit, despite two servers, retries, a watchdog reap, a killed server,
+  // bit, despite two servers, retries, a deadline reap, a killed server,
   // and a journal resume in the history.
   const serve::CampaignStats oracle =
       serve::serial_campaign_stats(base, first_seed, num_seeds, /*jobs=*/8);
@@ -170,14 +171,14 @@ int main(int argc, char** argv) {
 
   // Phase 2 may have re-armed the stall on whichever server had not yet
   // consumed it; the invariant that survives every schedule is that each
-  // injected stall was reaped by a watchdog, never left wedged.
+  // injected stall was reaped by its deadline, never left wedged.
   const double total_stalls =
       server_a.metrics_snapshot().value("serve.stalls_injected") +
       server_b.metrics_snapshot().value("serve.stalls_injected");
   const double total_reaps =
-      server_a.metrics_snapshot().value("serve.watchdog_reaps") +
-      server_b.metrics_snapshot().value("serve.watchdog_reaps");
-  check(total_reaps == total_stalls, "watchdog: no stall left unreaped");
+      server_a.metrics_snapshot().value("serve.deadline_exceeded") +
+      server_b.metrics_snapshot().value("serve.deadline_exceeded");
+  check(total_reaps == total_stalls, "deadline: no stall left unreaped");
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "{\"seeds\":%zu,\"phase1_completed\":%zu,"
                    "\"phase2_resumed\":%zu,\"retries\":%zu,"
-                   "\"watchdog_reaps\":%.0f,\"ok\":%s}\n",
+                   "\"deadline_exceeded\":%.0f,\"ok\":%s}\n",
                    num_seeds, phase1.completed, phase2.resumed,
                    phase1.retries + phase2.retries, total_reaps,
                    ok ? "true" : "false");

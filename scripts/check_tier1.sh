@@ -5,13 +5,13 @@
 # speedup floor, the sim-as-a-service robustness pin, the trace-replay re-ingest
 # pin, and the faulted shard-axis digest pin), then the event engine's,
 # the scenario kernel's and the server's tests under AddressSanitizer +
-# UBSan, then the shard engine and the
-# differential fault fuzz under ThreadSanitizer. Everything a PR must keep
-# green.
+# UBSan, then the shard engine, the
+# differential fault fuzz and the scenario server under ThreadSanitizer.
+# Everything a PR must keep green.
 #
 # Every ctest invocation carries a per-test timeout: the suite now
-# exercises servers, watchdogs, and cancellation, and a regression there
-# must fail the gate, not wedge it.
+# exercises servers, run deadlines, and cancellation, and a regression
+# there must fail the gate, not wedge it.
 #
 # Usage: scripts/check_tier1.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -55,15 +55,17 @@ done
 SPIDER_FAULT_FUZZ_SEEDS=10 UBSAN_OPTIONS=halt_on_error=1 \
   "$ASAN_DIR"/tests/test_fault_shard
 
-# Sharded engine under ThreadSanitizer: the lockstep coordinator, the
-# mailbox parity protocol, and the formation fabric must be data-race
-# free, not just deterministic. A dedicated TSan tree builds only the
-# shard test (the rest of the suite runs TSan via SPIDER_SANITIZE=thread
-# full builds when wanted).
+# Sharded engine and scenario server under ThreadSanitizer: the lockstep
+# coordinator, the mailbox parity protocol, the formation fabric, and the
+# server's front thread, workers and live-run list must be data-race free,
+# not just deterministic. A dedicated TSan tree builds only these tests
+# (the rest of the suite runs TSan via SPIDER_SANITIZE=thread full builds
+# when wanted).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DSPIDER_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j --target test_shard test_fault_shard
+cmake --build "$TSAN_DIR" -j --target test_shard test_fault_shard test_serve
 "$TSAN_DIR"/tests/test_shard
+"$TSAN_DIR"/tests/test_serve
 # The differential fault fuzz at a trimmed seed count: TSan's ~10x
 # slowdown makes 200 seeds too slow for the gate, and data races don't
 # need many seeds to surface under the instrumented scheduler.

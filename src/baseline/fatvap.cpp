@@ -16,12 +16,7 @@ FatVapDriver::FatVapDriver(sim::Simulator& simulator, phy::Medium& medium,
       scanner_(simulator, stack_.scanner),
       mode_(core::OperationMode::equal_split(config_.channels, config_.period)) {
   radio_.set_receiver([this](const wire::Frame& f) { on_radio_frame(f); });
-  radio_.set_address_filter([this](wire::MacAddress a) {
-    for (const auto& vif : vifs_) {
-      if (vif->mac() == a) return true;
-    }
-    return false;
-  });
+  radio_.set_address_block({mac_base, mac_base + 1 + stack_.num_interfaces});
   scanner_.set_prober([this] {
     if (radio_.switching()) return;
     wire::Frame probe;
@@ -59,7 +54,6 @@ std::vector<std::size_t> FatVapDriver::active_vifs() const {
 
 double FatVapDriver::share_of(std::size_t vif_index,
                               const std::vector<std::size_t>& active) const {
-  if (!config_.rate_weighted) return 1.0 / static_cast<double>(active.size());
   double total = 0.0;
   for (std::size_t i : active) total += std::max(1.0, goodput_ewma_[i]);
   const double raw = std::max(1.0, goodput_ewma_[vif_index]) / total;

@@ -19,10 +19,8 @@ struct FatVapConfig {
   Time period = msec(400);
   /// Channels the driver may scan/join (candidate set).
   std::vector<wire::Channel> channels = {1, 6, 11};
-  /// Weight slots by measured per-AP goodput (FatVAP's f_i = R_i/W idea);
-  /// equal slots otherwise.
-  bool rate_weighted = true;
-  /// EWMA factor for goodput estimation.
+  /// EWMA factor for the measured per-AP goodput that weights each slot
+  /// (FatVAP's f_i = R_i/W idea).
   double goodput_alpha = 0.3;
   /// Minimum slot share so a starved AP can still make progress.
   double min_share = 0.10;

@@ -19,12 +19,7 @@ SpiderDriver::SpiderDriver(sim::Simulator& simulator, phy::Medium& medium,
   assert(!mode_.fractions.empty());
 
   radio_.set_receiver([this](const wire::Frame& f) { on_radio_frame(f); });
-  radio_.set_address_filter([this](wire::MacAddress a) {
-    for (const auto& vif : vifs_) {
-      if (vif->mac() == a) return true;
-    }
-    return false;
-  });
+  radio_.set_address_block({mac_base, mac_base + 1 + config_.num_interfaces});
   scanner_.set_prober([this] { send_probe_request(); });
 
   vifs_.reserve(config_.num_interfaces);

@@ -414,8 +414,7 @@ void Medium::proxy_attach(const ShardProxyDesc& desc) {
   auto info = std::make_unique<ProxyInfo>();
   info->gid = desc.gid;
   info->channel = desc.channel;
-  info->addr_lo = desc.addr_lo;
-  info->addr_hi = desc.addr_hi;
+  info->addrs = desc.addrs;
   info->pos_at = desc.pos_at;
   const std::uint32_t slot = allocate_slot();
   info->slot = slot;
@@ -548,16 +547,12 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
 
     // Unicast frames to their addressee enjoy link-layer ARQ; everyone
     // else (and all broadcast traffic) gets a single shot. A proxy owns
-    // exactly its client's MAC block (the address filter of the real
-    // radio programs only addresses from that block).
+    // the address block its client's real radio declared.
     const Slot& rs = slots_[rx_slot];
-    bool arq = false;
-    if (!body.dst.is_broadcast()) {
-      arq = rs.proxy != nullptr
-                ? body.dst.raw() >= rs.proxy->addr_lo &&
-                      body.dst.raw() < rs.proxy->addr_hi
-                : rs.radio->owns_address(body.dst);
-    }
+    const wire::MacBlock& owned = rs.proxy != nullptr
+                                      ? rs.proxy->addrs
+                                      : rs.radio->address_block();
+    const bool arq = !body.dst.is_broadcast() && owned.contains(body.dst);
     const int attempts_allowed = arq ? 1 + kMediumDefaultRetryLimit : 1;
     int attempt = 1;
     while (attempt <= attempts_allowed && rng_.chance(p_loss)) ++attempt;

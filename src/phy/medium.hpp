@@ -179,7 +179,7 @@ class Medium {
   struct ProxyInfo {
     std::uint64_t gid = 0;
     wire::Channel channel = 1;
-    std::uint64_t addr_lo = 0, addr_hi = 0;  ///< unicast ownership [lo, hi)
+    wire::MacBlock addrs;  ///< unicast ownership (the ARQ gate)
     std::function<Position(Time)> pos_at;
     std::uint32_t slot = 0;
   };

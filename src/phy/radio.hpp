@@ -87,16 +87,13 @@ class Radio {
   /// MAC above filters by address; the scanner wants overheard beacons).
   void set_receiver(ReceiveFn receiver) { receiver_ = std::move(receiver); }
 
-  /// Declares which unicast destinations this card answers for. A
-  /// virtualised driver programs all of its interface MACs here; the
-  /// medium applies link-layer ARQ only to frames an addressee will ACK.
-  /// Default: only the card's own MAC.
-  void set_address_filter(std::function<bool(wire::MacAddress)> filter) {
-    address_filter_ = std::move(filter);
-  }
-  bool owns_address(wire::MacAddress addr) const {
-    return addr == mac_ || (address_filter_ && address_filter_(addr));
-  }
+  /// Declares the block of unicast destinations this card answers for,
+  /// as a NIC programs its address filter. A virtualised driver claims
+  /// its own MAC and every interface MAC; the medium applies link-layer
+  /// ARQ only to frames an addressee will ACK. Default: only the card's
+  /// own MAC, [mac, mac + 1).
+  void set_address_block(wire::MacBlock block) { address_block_ = block; }
+  const wire::MacBlock& address_block() const { return address_block_; }
 
   /// Called by the medium on delivery.
   void deliver(const wire::Frame& frame);
@@ -131,7 +128,7 @@ class Radio {
   PositionFn position_;
   RadioConfig config_;
   ReceiveFn receiver_;
-  std::function<bool(wire::MacAddress)> address_filter_;
+  wire::MacBlock address_block_{mac_.raw(), mac_.raw() + 1};
 
   wire::Channel channel_ = 1;
   bool resetting_ = false;

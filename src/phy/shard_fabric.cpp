@@ -184,16 +184,14 @@ ShardFabric::~ShardFabric() {
 
 void ShardFabric::register_client(int home, Radio& radio,
                                   std::function<Position(Time)> pos_at,
-                                  double max_speed_mps, std::uint64_t addr_lo,
-                                  std::uint64_t addr_hi) {
+                                  double max_speed_mps) {
   const std::uint64_t gid = radio.mac().raw();
   ClientInfo& info = clients_[gid];  // created at attach; tolerate either order
   info.radio = &radio;
   info.home = home;
   info.pos_at = std::move(pos_at);
   info.max_speed = max_speed_mps;
-  info.addr_lo = addr_lo;
-  info.addr_hi = addr_hi;
+  info.addrs = radio.address_block();
   homed_[static_cast<std::size_t>(home)].push_back({gid, &info});
 
   // Initial placement: the owner of the radio's boot channel stripe at its
@@ -315,8 +313,7 @@ void ShardFabric::move_proxy(int home, ClientInfo& info, std::uint64_t gid,
   ShardProxyDesc desc;
   desc.gid = gid;
   desc.channel = channel;
-  desc.addr_lo = info.addr_lo;
-  desc.addr_hi = info.addr_hi;
+  desc.addrs = info.addrs;
   desc.pos_at = info.pos_at;
   desc.max_speed_mps = info.max_speed;
   Medium* new_m = mediums_[static_cast<std::size_t>(new_shard)];

@@ -78,7 +78,7 @@ ShardPartition build_shard_partition(
 ///    client's home shard thread (retune upcalls and the migration sweep)
 ///    and read only there;
 ///  - other threads (a proxy's owner forwarding a delivery) read only the
-///    immutable fields (home, addr range, pos_at);
+///    immutable fields (home, address block, pos_at);
 ///  - all cross-shard effects travel as ShardedSimulator mailbox thunks.
 class ShardFabric {
  public:
@@ -98,12 +98,11 @@ class ShardFabric {
   /// radio (its attach has already been intercepted) and before
   /// ShardedSimulator::drain_initial, from the coordinating thread.
   /// `pos_at` must be a pure function of sim time (the MobilityModel
-  /// contract); [addr_lo, addr_hi) are the unicast addresses the client's
-  /// virtual interfaces answer for (the ARQ gate on the owning shard).
+  /// contract). The proxy's ARQ gate is the radio's declared address
+  /// block, so set it before registering.
   void register_client(int home, Radio& radio,
                        std::function<Position(Time)> pos_at,
-                       double max_speed_mps, std::uint64_t addr_lo,
-                       std::uint64_t addr_hi);
+                       double max_speed_mps);
 
   const ShardPartition& partition() const { return partition_; }
   /// Proxies moved across a stripe cut by the migration sweep.
@@ -135,7 +134,7 @@ class ShardFabric {
     int home = 0;
     std::function<Position(Time)> pos_at;
     double max_speed = 0.0;
-    std::uint64_t addr_lo = 0, addr_hi = 0;
+    wire::MacBlock addrs;
     // Home-thread-only placement state.
     int cur_shard = -1;
     wire::Channel cur_channel = 1;

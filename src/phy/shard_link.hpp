@@ -35,10 +35,9 @@ struct ShardProxyDesc {
   /// Global radio identity: the raw MAC of the client's physical radio.
   std::uint64_t gid = 0;
   wire::Channel channel = 1;
-  /// Unicast addresses the client answers for (ARQ gate): [lo, hi). The
-  /// client MAC block layout makes this a contiguous range.
-  std::uint64_t addr_lo = 0;
-  std::uint64_t addr_hi = 0;
+  /// Unicast addresses the client's radio declared it answers for (the
+  /// ARQ gate).
+  wire::MacBlock addrs;
   /// Pure function of sim time (the MobilityModel contract) — safe to
   /// evaluate from the owning shard's thread with its own clock.
   std::function<Position(Time)> pos_at;

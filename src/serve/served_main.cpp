@@ -2,7 +2,6 @@
 //
 //   spider_served --socket run.sock [--workers N] [--queue-depth N]
 //                 [--deadline-ms X] [--retry-after-ms X] [--tracing]
-//                 [--stall-seed N --stall-ms X]   (fault injection, tests)
 //
 // Serves newline-delimited JSON requests ({"op":"run"|"ping"|"metrics"})
 // until SIGINT/SIGTERM, then drains in-flight runs, flushes responses,
@@ -27,8 +26,7 @@ void on_signal(int) { g_stop = 1; }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--workers N] [--queue-depth N]\n"
-               "          [--deadline-ms X] [--retry-after-ms X] [--tracing]\n"
-               "          [--stall-seed N --stall-ms X]\n",
+               "          [--deadline-ms X] [--retry-after-ms X] [--tracing]\n",
                argv0);
   std::exit(2);
 }
@@ -71,11 +69,6 @@ int main(int argc, char** argv) {
       config.retry_after_ms = parse_number(argv[0], flag, value());
     } else if (std::strcmp(flag, "--tracing") == 0) {
       config.tracing = true;
-    } else if (std::strcmp(flag, "--stall-seed") == 0) {
-      config.stall_seed =
-          static_cast<std::uint64_t>(parse_number(argv[0], flag, value()));
-    } else if (std::strcmp(flag, "--stall-ms") == 0) {
-      config.stall_ms = parse_number(argv[0], flag, value());
     } else if (std::strcmp(flag, "--help") == 0) {
       usage(argv[0]);
     } else {

@@ -105,11 +105,9 @@ bool ScenarioServer::start(std::string* error) {
   draining_ = false;
   workers_stop_ = false;
   front_stop_ = false;
-  watchdog_stop_ = false;
   shut_down_ = false;
   running_ = true;
   front_ = std::thread([this] { front_loop(); });
-  watchdog_ = std::thread([this] { watchdog_loop(); });
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -126,8 +124,7 @@ void ScenarioServer::shutdown(bool cancel_inflight) {
   draining_ = true;
   if (cancel_inflight) {
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (const Job& job : queue_) job.token->request_cancel();
-    for (const auto& token : inflight_tokens_) token->request_cancel();
+    for (const LiveRun& run : live_) run.token->request_cancel();
   }
 
   // 2. Drain: workers exit once the admitted queue is empty.
@@ -144,9 +141,6 @@ void ScenarioServer::shutdown(bool cancel_inflight) {
   front_stop_ = true;
   wake_front();
   front_.join();
-
-  watchdog_stop_ = true;
-  watchdog_.join();
 
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
@@ -306,7 +300,7 @@ void ScenarioServer::handle_line(std::uint64_t conn_id, Connection& conn,
       conn.outbox += '\n';
       return;
     }
-    conn_tokens_[conn_id].push_back(job.token);
+    live_.push_back({conn_id, job.token});
     queue_.push_back(std::move(job));
     gauge_max("serve.queue_peak", static_cast<double>(queue_.size()));
   }
@@ -321,14 +315,10 @@ void ScenarioServer::close_connection(std::uint64_t conn_id) {
   conns_.erase(it);
   // Abandoned work is cancelled so it never occupies the pool.
   std::lock_guard<std::mutex> lock(jobs_mu_);
-  auto tokens = conn_tokens_.find(conn_id);
-  if (tokens != conn_tokens_.end()) {
-    for (const std::weak_ptr<sim::CancelToken>& weak : tokens->second) {
-      if (const std::shared_ptr<sim::CancelToken> token = weak.lock()) {
-        if (token->request_cancel()) count("serve.cancelled_disconnect");
-      }
+  for (const LiveRun& run : live_) {
+    if (run.conn_id == conn_id && run.token->request_cancel()) {
+      count("serve.cancelled_disconnect");
     }
-    conn_tokens_.erase(tokens);
   }
 }
 
@@ -468,18 +458,17 @@ void ScenarioServer::worker_loop() {
             static_cast<std::int64_t>(effective * 1e6)));
       }
       ++inflight_;
-      inflight_tokens_.push_back(job.token);
       gauge_max("serve.inflight_peak", static_cast<double>(inflight_));
     }
 
-    // Fault-injection stall (tests only): hold the run without touching
-    // the deadline clock so the watchdog is the thread that trips it.
+    // Fault-injection stall (tests only): hold the run, polling its token
+    // as the simulator would, so the armed deadline or a cancel ends it.
     if (config_.stall_seed != 0 && job.scenario.seed == config_.stall_seed &&
         !stall_consumed_.exchange(true)) {
       count("serve.stalls_injected");
       const auto slice = std::chrono::milliseconds(1);
       const int slices = static_cast<int>(config_.stall_ms);
-      for (int s = 0; s < slices && !job.token->cancel_requested(); ++s) {
+      for (int s = 0; s < slices && !job.token->should_stop(); ++s) {
         std::this_thread::sleep_for(slice);
       }
     }
@@ -494,6 +483,9 @@ void ScenarioServer::worker_loop() {
                                       RunStats::from_result(*outcome.result));
     } else {
       count("serve.runs_failed");
+      if (outcome.error->kind == trace::RunErrorKind::kDeadlineExceeded) {
+        count("serve.deadline_exceeded");
+      }
       std::optional<RunStats> partial;
       if (outcome.result.has_value()) {
         partial = RunStats::from_result(*outcome.result);
@@ -502,48 +494,18 @@ void ScenarioServer::worker_loop() {
           job.request_id, *outcome.error, /*retry_after_ms=*/0.0,
           partial.has_value() ? &*partial : nullptr);
     }
-    // Retire the token BEFORE publishing the response: once the client
+    // Retire the run BEFORE publishing the response: once the client
     // can see the result it may disconnect immediately, and a finished
     // run must not be counted as cancelled-by-disconnect.
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
       --inflight_;
-      inflight_tokens_.erase(
-          std::find(inflight_tokens_.begin(), inflight_tokens_.end(),
-                    job.token));
-      auto tokens = conn_tokens_.find(job.conn_id);
-      if (tokens != conn_tokens_.end()) {
-        auto& list = tokens->second;
-        list.erase(std::remove_if(
-                       list.begin(), list.end(),
-                       [&](const std::weak_ptr<sim::CancelToken>& weak) {
-                         const auto token = weak.lock();
-                         return token == nullptr || token == job.token;
-                       }),
-                   list.end());
-        if (list.empty()) conn_tokens_.erase(tokens);
-      }
+      live_.erase(std::find_if(
+          live_.begin(), live_.end(),
+          [&](const LiveRun& run) { return run.token == job.token; }));
     }
 
     push_response(job.conn_id, std::move(response));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog: the only thread that polls in-flight deadline clocks.
-// ---------------------------------------------------------------------------
-
-void ScenarioServer::watchdog_loop() {
-  const auto period = std::chrono::microseconds(
-      static_cast<std::int64_t>(config_.watchdog_period_ms * 1e3));
-  while (!watchdog_stop_) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      for (const std::shared_ptr<sim::CancelToken>& token : inflight_tokens_) {
-        if (token->trip_if_expired()) count("serve.watchdog_reaps");
-      }
-    }
-    std::this_thread::sleep_for(period);
   }
 }
 

@@ -32,16 +32,13 @@ struct ServerConfig {
   double default_deadline_ms = 0.0;
   /// Hint returned with "overloaded" rejections.
   double retry_after_ms = 50.0;
-  /// Watchdog scan period for expired deadlines.
-  double watchdog_period_ms = 5.0;
   bool tracing = false;  ///< flight-record each run (server-side only)
 
-  /// Fault-injection hooks for tests: the first admitted run whose seed
-  /// equals stall_seed sleeps up to stall_ms before executing, leaving
-  /// the stall only when its token is cancelled. The sleeper checks the
-  /// cancellation *flag* only — never the deadline clock — so the
-  /// watchdog thread is deterministically the one that trips the
-  /// deadline ("serve.watchdog_reaps" counts exactly it).
+  /// In-process fault injection for tests and serve_smoke: the first
+  /// admitted run whose seed equals stall_seed sleeps up to stall_ms
+  /// before executing, polling its token like the simulator does, so an
+  /// armed deadline or a cancel ends the stall and the run answers
+  /// "deadline-exceeded" or "cancelled".
   std::uint64_t stall_seed = 0;  ///< 0 disables the hook
   double stall_ms = 0.0;
 };
@@ -60,9 +57,10 @@ struct ServerConfig {
 ///    with kind "overloaded" and a retry_after_ms hint, never queued
 ///    without bound;
 ///  - every admitted run carries a CancelToken; a deadline (request's or
-///    the server default) is armed when a worker picks the run up, and a
-///    watchdog thread reaps expired runs ("deadline-exceeded" on the
-///    wire, partial result attached when one exists);
+///    the server default) is armed when a worker picks the run up, and
+///    the run's own polls of that token end it once the deadline passes
+///    ("deadline-exceeded" on the wire, partial result attached when one
+///    exists; counted as "serve.deadline_exceeded");
 ///  - a client disconnect cancels that client's queued and in-flight
 ///    runs so abandoned work never occupies the pool;
 ///  - shutdown() drains admitted runs, answers new ones with
@@ -76,7 +74,7 @@ class ScenarioServer {
   ScenarioServer(const ScenarioServer&) = delete;
   ScenarioServer& operator=(const ScenarioServer&) = delete;
 
-  /// Binds, listens, and spawns the front/worker/watchdog threads.
+  /// Binds, listens, and spawns the front thread and the workers.
   /// False (with the reason in *error) when the socket cannot be set up.
   bool start(std::string* error = nullptr);
 
@@ -107,7 +105,6 @@ class ScenarioServer {
 
   void front_loop();
   void worker_loop();
-  void watchdog_loop();
 
   void read_lines(std::uint64_t conn_id, Connection& conn, const char* data,
                   std::size_t n);
@@ -127,18 +124,22 @@ class ScenarioServer {
 
   std::vector<std::thread> workers_;
   std::thread front_;
-  std::thread watchdog_;
 
-  // Admission queue + in-flight registry (one mutex guards both, plus the
-  // per-connection token index used for disconnect cancellation).
+  /// One admitted run, queued or in flight: what a disconnect or
+  /// shutdown(true) needs to cancel it.
+  struct LiveRun {
+    std::uint64_t conn_id = 0;
+    std::shared_ptr<sim::CancelToken> token;
+  };
+
+  // Admission queue + live-run list (one mutex guards both). A run joins
+  // live_ at admission and leaves it when its worker retires it, so the
+  // list holds at most queue_depth + workers entries.
   mutable std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;
   std::deque<Job> queue_;
   std::size_t inflight_ = 0;
-  std::vector<std::shared_ptr<sim::CancelToken>> inflight_tokens_;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::weak_ptr<sim::CancelToken>>>
-      conn_tokens_;
+  std::vector<LiveRun> live_;
 
   // Worker-produced response lines, merged into outboxes by the front.
   std::mutex responses_mu_;
@@ -151,7 +152,6 @@ class ScenarioServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> workers_stop_{false};
   std::atomic<bool> front_stop_{false};
-  std::atomic<bool> watchdog_stop_{false};
   std::atomic<bool> stall_consumed_{false};
   bool shut_down_ = false;
   std::mutex shutdown_mu_;

@@ -17,7 +17,7 @@ const char* to_string(CancelReason reason);
 
 /// Cooperative cancellation + wall-clock deadline token.
 ///
-/// A token is shared between the party that bounds a run (server watchdog,
+/// A token is shared between the party that bounds a run (server worker,
 /// signal handler, campaign client) and the simulator executing it: the
 /// simulator polls `should_stop()` every few thousand events and returns
 /// early when the token trips, leaving the run's partial state harvestable.
@@ -25,8 +25,11 @@ const char* to_string(CancelReason reason);
 /// byte-identical whether or not a token was installed (pinned by tests).
 ///
 /// The trip is set-once (first reason wins) and every member is lock-free,
-/// so tokens may be tripped from signal handlers and watchdog threads while
-/// the simulator thread polls.
+/// so tokens may be tripped from signal handlers and other threads while
+/// the simulator thread polls. An armed deadline is enforced by whoever
+/// polls `should_stop()`: it trips the token on the same compare-and-swap
+/// as `request_cancel()`, so concurrent pollers (every shard of a
+/// formation) and a concurrent cancel agree on one reason.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -35,12 +38,6 @@ class CancelToken {
   /// durations trip on the next poll.
   void arm_deadline_after(std::chrono::nanoseconds after) {
     deadline_ns_.store(now_ns() + after.count(), std::memory_order_relaxed);
-  }
-  void disarm_deadline() {
-    deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);
-  }
-  bool deadline_armed() const {
-    return deadline_ns_.load(std::memory_order_relaxed) != kNoDeadline;
   }
 
   /// Trips the token with `reason`. Returns true when this call performed
@@ -51,40 +48,25 @@ class CancelToken {
                                           std::memory_order_relaxed);
   }
 
-  /// True once the token has tripped. Does NOT poll the clock — use this
-  /// from wait loops that rely on an external watchdog to enforce
-  /// deadlines (keeps the reaper observable and singular).
+  /// True once the token has tripped. Does not read the clock, so it is
+  /// safe in signal handlers; an expired deadline shows here only after
+  /// a `should_stop()` poll tripped it.
   bool cancel_requested() const {
     return state_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Polls the armed deadline, tripping the token (kDeadlineExceeded) when
-  /// it has passed. Returns true when this call performed the trip — a
-  /// watchdog counts its reaps with this.
-  bool trip_if_expired() {
-    if (state_.load(std::memory_order_relaxed) != 0) return false;
-    const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
-    if (d == kNoDeadline || now_ns() < d) return false;
-    return request_cancel(CancelReason::kDeadlineExceeded);
-  }
-
-  /// The simulator's per-check predicate: tripped already, or the armed
-  /// deadline has passed (tripping it lazily, so deadlines hold even
-  /// without a watchdog thread).
+  /// The poll: true when the token has tripped, tripping it first
+  /// (kDeadlineExceeded) when the armed deadline has passed.
   bool should_stop() {
     if (state_.load(std::memory_order_relaxed) != 0) return true;
-    return trip_if_expired();
+    const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
+    if (d == kNoDeadline || now_ns() < d) return false;
+    request_cancel(CancelReason::kDeadlineExceeded);
+    return true;
   }
 
   CancelReason reason() const {
     return static_cast<CancelReason>(state_.load(std::memory_order_relaxed));
-  }
-
-  /// Re-arms a spent token (tests and pooled token reuse). Not safe while
-  /// a run is still polling the token.
-  void reset() {
-    state_.store(0, std::memory_order_relaxed);
-    deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);
   }
 
  private:

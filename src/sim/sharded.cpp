@@ -151,7 +151,7 @@ void ShardedSimulator::shard_main(int s, Time deadline, SpinBarrier& gate) {
     // the others' window k+1, and the per-shard order of events, drains
     // and hooks is the same as draining between two barriers.
     drain(s, parity);
-    for (const Hook& hook : hooks_[static_cast<std::size_t>(s)]) hook();
+    if (const Hook& hook = hooks_[static_cast<std::size_t>(s)]) hook();
     const Clock::time_point t3 = Clock::now();
     lane.time.busy_s += seconds_between(t0, t1);
     lane.time.wait_s += seconds_between(t1, t2);

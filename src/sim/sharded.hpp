@@ -121,20 +121,12 @@ class ShardedSimulator {
   /// point. Call from the coordinating thread; loops until quiescent.
   void drain_final();
 
-  /// Installs a per-window callback for shard `s`, run on its worker
+  /// Installs the per-window callback for shard `s`, run on its worker
   /// thread after each window's drain (sends made by the hook join the
-  /// next window's exchange), replacing any hooks installed earlier. Used
+  /// next window's exchange), replacing any hook installed earlier. Used
   /// for home-side proxy migration sweeps.
   void set_window_hook(int s, Hook hook) {
-    hooks_[static_cast<std::size_t>(s)].clear();
-    add_window_hook(s, std::move(hook));
-  }
-  /// Appends a per-window callback for shard `s` without displacing hooks
-  /// already installed (the migration sweep owns set_window_hook; window
-  /// observers — fault bookkeeping probes, future re-partition triggers —
-  /// stack behind it in installation order).
-  void add_window_hook(int s, Hook hook) {
-    hooks_[static_cast<std::size_t>(s)].push_back(std::move(hook));
+    hooks_[static_cast<std::size_t>(s)] = std::move(hook);
   }
 
   /// Runs every shard to `deadline` in lockstep windows. Installs `cancel`
@@ -189,7 +181,7 @@ class ShardedSimulator {
   Time window_;
   std::vector<Mailbox> boxes_;  ///< S*S, row-major by sender
   std::vector<Lane> lanes_;     ///< one per shard
-  std::vector<std::vector<Hook>> hooks_;  ///< per-shard window hook stacks
+  std::vector<Hook> hooks_;     ///< one per shard; empty = none
   std::atomic<bool> stop_{false};
   std::uint64_t windows_ = 0;
 };

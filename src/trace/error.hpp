@@ -11,7 +11,7 @@ namespace spider::trace {
 /// never asserted on.
 enum class RunErrorKind {
   kInvalidConfig,      ///< ScenarioConfig::validate() rejected the request
-  kDeadlineExceeded,   ///< wall-clock deadline tripped mid-run (watchdog/lazy)
+  kDeadlineExceeded,   ///< wall-clock deadline passed mid-run
   kCancelled,          ///< explicit cancellation (client gone, shutdown, ^C)
   kInternal,           ///< unexpected exception inside the runner
 };

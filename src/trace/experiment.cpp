@@ -396,7 +396,7 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
           [route = rig.route.get(), offset = rig.offset](Time t) {
             return route->position_at(t + offset);
           },
-          config.speed_mps, block, block + 0x100ULL);
+          config.speed_mps);
     }
   }
 

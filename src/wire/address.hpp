@@ -28,6 +28,17 @@ class MacAddress {
   std::uint64_t raw_ = 0;
 };
 
+/// A contiguous block [lo, hi) of raw MAC addresses: the unicast
+/// destinations one radio answers for.
+struct MacBlock {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  constexpr bool contains(MacAddress addr) const {
+    return addr.raw() >= lo && addr.raw() < hi;
+  }
+};
+
 /// A BSSID is the MAC address of the AP-side interface of a BSS.
 using Bssid = MacAddress;
 

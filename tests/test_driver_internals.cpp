@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/fatvap.hpp"
+#include "baseline/stock_wifi.hpp"
 #include "core/adaptive.hpp"
 #include "core/link_manager.hpp"
 #include "core/spider_driver.hpp"
@@ -203,38 +204,31 @@ TEST(DriverInternals, AdaptiveFollowsApPopulationAcrossChannels) {
   EXPECT_TRUE(driver.mode().single_channel());
 }
 
-TEST(DriverInternals, FatVapEqualSlotsWithoutRateWeighting) {
-  trace::Testbed bed(quiet_air(43));
-  trace::Testbed::ApSpec spec;
-  spec.dhcp = quick_dhcp();
-  spec.channel = 1;
-  spec.position = {20, 0};
-  bed.add_ap(spec);
-  spec.channel = 11;
-  spec.position = {-20, 0};
-  bed.add_ap(spec);
-
-  base::FatVapConfig fc;
-  fc.rate_weighted = false;
-  auto cfg = spider_cfg(core::OperationMode::single(1), 2);
+TEST(DriverInternals, EveryDriverClaimsExactlyItsOwnMacs) {
+  // A radio's address block is its own MAC plus one per interface and
+  // nothing more: the medium's ARQ gate, and a formation proxy's, read it.
+  trace::Testbed bed(quiet_air());
+  const auto expect_block = [](core::DriverBase& driver, phy::Radio& radio) {
+    const wire::MacBlock& block = radio.address_block();
+    EXPECT_EQ(block.lo, radio.mac().raw());
+    EXPECT_EQ(block.hi, radio.mac().raw() + 1 + driver.num_interfaces());
+    for (std::size_t i = 0; i < driver.num_interfaces(); ++i) {
+      EXPECT_TRUE(block.contains(driver.iface(i).mac()));
+    }
+  };
+  core::SpiderDriver spider(bed.sim, bed.medium, bed.next_client_mac_block(),
+                            [] { return Position{0, 0}; },
+                            spider_cfg(core::OperationMode::single(6), 3));
+  expect_block(spider, spider.radio());
   base::FatVapDriver fat(bed.sim, bed.medium, bed.next_client_mac_block(),
-                         [] { return Position{0, 0}; }, cfg, fc);
-  core::LinkManager manager(fat, bed.server_ip());
-  fat.start();
-  manager.start();
-  bed.sim.run_until(sec(40));
-  ASSERT_EQ(manager.links_up(), 2u);
-
-  // With equal slots across two channels, the card splits residency.
-  int on1 = 0, on11 = 0;
-  for (int ms = 40000; ms < 50000; ms += 1) {
-    bed.sim.run_until(msec(ms));
-    if (fat.radio().switching()) continue;
-    if (fat.radio().channel() == 1) ++on1;
-    if (fat.radio().channel() == 11) ++on11;
-  }
-  const double ratio = static_cast<double>(on1) / std::max(1, on1 + on11);
-  EXPECT_NEAR(ratio, 0.5, 0.1);
+                         [] { return Position{0, 0}; },
+                         spider_cfg(core::OperationMode::single(1), 3),
+                         base::FatVapConfig{});
+  expect_block(fat, fat.radio());
+  base::StockWifiDriver stock(bed.sim, bed.medium, bed.next_client_mac_block(),
+                              [] { return Position{0, 0}; },
+                              base::StockConfig{}, bed.server_ip());
+  expect_block(stock, stock.radio());
 }
 
 TEST(DriverInternals, FatVapQueuesPerInterfaceWhileNotSlotOwner) {

@@ -548,8 +548,7 @@ RunOut run_sharded(const FuzzSpec& spec, int shards, std::uint64_t seed) {
           out.delivered.emplace_back(mac, f.src.raw(), f.size_bytes, f.channel);
         });
     w.fabric->register_client(
-        home, *radio, [pos = cl.pos](Time) { return pos; }, 0.0, cl.mac,
-        cl.mac + 0x100);
+        home, *radio, [pos = cl.pos](Time) { return pos; }, 0.0);
     if (cl.channel != 1) radio->tune(cl.channel);
   }
 
@@ -709,8 +708,7 @@ TEST(FaultShardDirected, StripedChannelFaultFlipsEveryOwner) {
                                f.channel);
   });
   w.fabric->register_client(
-      0, wclient, [](Time) { return Position{195, 0}; }, 0.0, kClientMac,
-      kClientMac + 0x100);
+      0, wclient, [](Time) { return Position{195, 0}; }, 0.0);
   wclient.tune(6);
 
   FaultRouter router;
@@ -895,8 +893,7 @@ TEST(FaultShardDirected, ProxyMigratesAcrossStripeCutMidBlackout) {
     sharded_heard.emplace_back(kClientMac, f.src.raw(), f.size_bytes,
                                f.channel);
   });
-  w.fabric->register_client(0, client, pos_at, 50.0, kClientMac,
-                            kClientMac + 0x100);
+  w.fabric->register_client(0, client, pos_at, 50.0);
   client.tune(6);
 
   FaultRouter router;

@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/campaign.hpp"
 #include "serve/client.hpp"
@@ -512,7 +514,7 @@ TEST(Server, FaultedShardedRunAcceptedOverTheWire) {
             stats_json(*wire_stats));
 }
 
-TEST(Server, WatchdogReapsStalledRun) {
+TEST(Server, DeadlineReapsStalledRun) {
   ServerConfig config = basic_config();
   config.workers = 1;
   config.stall_seed = 777;
@@ -529,7 +531,7 @@ TEST(Server, WatchdogReapsStalledRun) {
   EXPECT_EQ(error_kind(response), "deadline-exceeded");
   EXPECT_LT(elapsed.count(), 10000);  // reaped by the deadline, not the stall
   const obs::MetricsRegistry metrics = ts.server.metrics_snapshot();
-  EXPECT_EQ(metrics.value("serve.watchdog_reaps"), 1.0);
+  EXPECT_EQ(metrics.value("serve.deadline_exceeded"), 1.0);
   EXPECT_EQ(metrics.value("serve.stalls_injected"), 1.0);
 }
 
@@ -565,7 +567,7 @@ TEST(Server, OverloadRejectionCarriesRetryAfter) {
   EXPECT_GE(ts.server.metrics_snapshot().value("serve.rejected_overload"),
             1.0);
 
-  // Both admitted runs still resolve: the stalled one via the watchdog,
+  // Both admitted runs still resolve: the stalled one via its deadline,
   // the queued one normally.
   int deadline_exceeded = 0, completed = 0;
   for (int i = 0; i < 2; ++i) {
@@ -616,6 +618,54 @@ TEST(Server, GracefulShutdownDrainsAndRejectsNewWork) {
 
   stopper.join();
   EXPECT_FALSE(ts.server.running());
+}
+
+TEST(Server, HardShutdownCancelsQueuedAndInflightRuns) {
+  ServerConfig config = basic_config();
+  config.workers = 1;
+  config.stall_seed = 444;
+  config.stall_ms = 30000.0;
+  TestServer ts(config);
+  LineClient client = ts.connect();
+
+  // The stalled run carries no deadline, so only the shutdown's cancel can
+  // end it; the second run waits in the queue behind it.
+  ASSERT_TRUE(client.send_line(
+      R"({"op":"run","id":"h0","scenario":)" +
+      scenario_to_json(quick_scenario(444)) + "}"));
+  ASSERT_TRUE(client.send_line(
+      R"({"op":"run","id":"h1","scenario":)" +
+      scenario_to_json(quick_scenario(4, 5.0)) + "}"));
+  for (int i = 0; i < 200; ++i) {
+    const obs::MetricsRegistry m = ts.server.metrics_snapshot();
+    if (m.value("serve.admitted") == 2.0 &&
+        m.value("serve.stalls_injected") == 1.0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ts.server.shutdown(/*cancel_inflight=*/true);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(elapsed.count(), 10000);  // cancelled, not sat out
+
+  // Both responses were flushed before the server closed the socket.
+  std::vector<std::string> cancelled;
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<std::string> line = client.recv_line(5000.0);
+    ASSERT_TRUE(line.has_value());
+    const std::optional<util::Json> json = util::Json::parse(*line);
+    ASSERT_TRUE(json.has_value());
+    EXPECT_EQ(error_kind(*json), "cancelled") << *line;
+    const util::Json* id = json->find("id");
+    cancelled.push_back(id != nullptr ? id->string_or("") : "");
+  }
+  EXPECT_EQ(cancelled, (std::vector<std::string>{"h0", "h1"}));
+  const obs::MetricsRegistry metrics = ts.server.metrics_snapshot();
+  EXPECT_EQ(metrics.value("serve.stalls_injected"), 1.0);
+  EXPECT_EQ(metrics.value("serve.deadline_exceeded"), 0.0);
 }
 
 TEST(Server, DisconnectCancelsThatClientsRuns) {
@@ -754,7 +804,7 @@ TEST(Campaign, ShardedFaultedCampaignMatchesSerialSweep) {
             serial_campaign_stats(campaign.base, 1, 4, /*jobs=*/2).digest());
 }
 
-TEST(Campaign, RetriesSeedReapedByWatchdog) {
+TEST(Campaign, RetriesSeedReapedByDeadline) {
   ServerConfig config = basic_config();
   config.stall_seed = 4;  // one campaign seed stalls on its first attempt
   config.stall_ms = 30000.0;
@@ -765,12 +815,15 @@ TEST(Campaign, RetriesSeedReapedByWatchdog) {
   campaign.base = quick_scenario(0, 15.0);
   campaign.first_seed = 1;
   campaign.num_seeds = 6;
-  campaign.deadline_ms = 200.0;
+  // Roomy enough that only the stalled seed misses it, even under
+  // ThreadSanitizer's ~10x slowdown (200 ms reaped ordinary runs there).
+  campaign.deadline_ms = 2000.0;
   const CampaignReport report = run_campaign(campaign);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.completed, 6u);
   EXPECT_GE(report.retries, 1u);
-  EXPECT_EQ(ts.server.metrics_snapshot().value("serve.watchdog_reaps"), 1.0);
+  EXPECT_EQ(ts.server.metrics_snapshot().value("serve.deadline_exceeded"),
+            1.0);
   EXPECT_EQ(report.merged.digest(),
             serial_campaign_stats(campaign.base, 1, 6).digest());
 }

@@ -235,19 +235,31 @@ TEST(ShardedSimulator, OversubscribedUnevenFormationStaysInLockstep) {
 }
 
 TEST(ShardedSimulator, OversubscribedUnevenFormationCancelsTogether) {
-  StressFormation f;
-  sim::CancelToken token;
-  Simulator& last = *f.sims.back();
-  last.post_at(usec(4550), [&] { token.request_cancel(); });
-  EXPECT_FALSE(f.bus->run_until(sec(1), &token));
-  // Stopped at a window boundary shortly after the trip, not at the
-  // 10000-window deadline, and every shard left at the same boundary: no
-  // shard ran a hook (or drained) for a window the others abandoned.
-  EXPECT_LT(f.bus->windows_run(), 100u);
-  for (int s = 0; s < f.width; ++s) {
-    const int hooks = f.hooks[static_cast<std::size_t>(s)];
-    EXPECT_EQ(static_cast<std::uint64_t>(hooks) + 1, f.bus->windows_run())
-        << "shard " << s;
+  // Two ways to trip the formation's one token: an explicit cancel from
+  // inside one shard mid-run, and an armed deadline that has already
+  // passed, which every shard trips concurrently on its entry poll.
+  for (const bool expired_deadline : {false, true}) {
+    SCOPED_TRACE(expired_deadline ? "expired deadline" : "cancel");
+    StressFormation f;
+    sim::CancelToken token;
+    if (expired_deadline) {
+      token.arm_deadline_after(std::chrono::nanoseconds(-1));
+    } else {
+      f.sims.back()->post_at(usec(4550), [&] { token.request_cancel(); });
+    }
+    EXPECT_FALSE(f.bus->run_until(sec(1), &token));
+    EXPECT_EQ(token.reason(), expired_deadline
+                                  ? sim::CancelReason::kDeadlineExceeded
+                                  : sim::CancelReason::kCancelled);
+    // Stopped at a window boundary shortly after the trip, not at the
+    // 10000-window deadline, and every shard left at the same boundary: no
+    // shard ran a hook (or drained) for a window the others abandoned.
+    EXPECT_LT(f.bus->windows_run(), 100u);
+    for (int s = 0; s < f.width; ++s) {
+      const int hooks = f.hooks[static_cast<std::size_t>(s)];
+      EXPECT_EQ(static_cast<std::uint64_t>(hooks) + 1, f.bus->windows_run())
+          << "shard " << s;
+    }
   }
 }
 
@@ -423,8 +435,7 @@ TEST(ShardFabric, RetuneMidFlightGatesForwardedDelivery) {
   Radio client(w.m0, wire::MacAddress(kClientMac),
                [] { return Position{10, 0}; });
   w.fabric.register_client(
-      0, client, [](Time) { return Position{10, 0}; }, 0.0, kClientMac,
-      kClientMac + 0x100);
+      0, client, [](Time) { return Position{10, 0}; }, 0.0);
 
   std::vector<std::string> heard;
   client.set_receiver([&](const wire::Frame& f) { heard.push_back(f.ssid); });
@@ -476,8 +487,7 @@ TEST(ShardFabric, ProxyMigratesAcrossStripeCut) {
   };
   Radio client(w.m0, wire::MacAddress(kClientMac),
                [&] { return pos_at(w.sim0.now()); }, mobile);
-  w.fabric.register_client(0, client, pos_at, 50.0, kClientMac,
-                           kClientMac + 0x100);
+  w.fabric.register_client(0, client, pos_at, 50.0);
 
   int heard_a = 0, heard_b = 0;
   client.set_receiver([&](const wire::Frame& f) {
@@ -662,8 +672,7 @@ RunOut run_sharded(const Spec& spec) {
     });
     if (r.client) {
       w.fabric.register_client(
-          r.home, *radio, [pos = r.pos](Time) { return pos; }, 0.0, r.mac,
-          r.mac + 0x100);
+          r.home, *radio, [pos = r.pos](Time) { return pos; }, 0.0);
     }
     if (r.channel != 1) radio->tune(r.channel);
   }

@@ -202,23 +202,15 @@ TEST(CancelToken, FirstReasonWins) {
 TEST(CancelToken, ExpiredDeadlineTripsExactlyOnce) {
   CancelToken t;
   t.arm_deadline_after(std::chrono::nanoseconds(-1));
-  // cancel_requested() never polls the clock: the token reads untripped
-  // until someone calls trip_if_expired()/should_stop().
+  // cancel_requested() never reads the clock: the token reads untripped
+  // until someone polls should_stop().
   EXPECT_FALSE(t.cancel_requested());
-  EXPECT_TRUE(t.trip_if_expired());   // this call reaps...
-  EXPECT_FALSE(t.trip_if_expired());  // ...and only this call
+  EXPECT_TRUE(t.should_stop());  // this poll trips it...
   EXPECT_EQ(t.reason(), CancelReason::kDeadlineExceeded);
-}
-
-TEST(CancelToken, DisarmAndReset) {
-  CancelToken t;
-  t.arm_deadline_after(std::chrono::nanoseconds(-1));
-  t.disarm_deadline();
-  EXPECT_FALSE(t.should_stop());
-  t.request_cancel();
-  t.reset();
-  EXPECT_FALSE(t.cancel_requested());
-  EXPECT_FALSE(t.deadline_armed());
+  EXPECT_TRUE(t.cancel_requested());
+  EXPECT_FALSE(t.request_cancel());  // ...so a later cancel loses
+  EXPECT_EQ(t.reason(), CancelReason::kDeadlineExceeded);
+  EXPECT_TRUE(t.should_stop());
 }
 
 TEST(Simulator, PreTrippedTokenStopsOnEntry) {
@@ -260,7 +252,8 @@ TEST(Simulator, CompletedRunClearsInterrupted) {
   s.schedule(msec(1), [] {});
   s.run_until(sec(1));
   EXPECT_TRUE(s.interrupted());
-  t.reset();
+  CancelToken fresh;  // tokens are set-once; a new run gets a new one
+  s.set_cancel_token(&fresh);
   s.run_until(sec(2));
   EXPECT_FALSE(s.interrupted());
   EXPECT_EQ(s.now(), sec(2));
