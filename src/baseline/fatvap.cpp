@@ -16,7 +16,8 @@ FatVapDriver::FatVapDriver(sim::Simulator& simulator, phy::Medium& medium,
       scanner_(simulator, stack_.scanner),
       mode_(core::OperationMode::equal_split(config_.channels, config_.period)) {
   radio_.set_receiver([this](const wire::Frame& f) { on_radio_frame(f); });
-  radio_.set_address_block({mac_base, mac_base + 1 + stack_.num_interfaces});
+  radio_.set_rx_filter({{mac_base, mac_base + 1 + stack_.num_interfaces},
+                        mac::Scanner::kHeardTypes});
   scanner_.set_prober([this] {
     if (radio_.switching()) return;
     wire::Frame probe;

@@ -18,7 +18,7 @@ StockWifiDriver::StockWifiDriver(sim::Simulator& simulator, phy::Medium& medium,
     config_.scan_channels = {*config_.lock_channel};
   }
   radio_.set_receiver([this](const wire::Frame& f) { on_radio_frame(f); });
-  radio_.set_address_block({mac_base, mac_base + 2});
+  radio_.set_rx_filter({{mac_base, mac_base + 2}, mac::Scanner::kHeardTypes});
   vif_ = std::make_unique<core::VirtualInterface>(
       simulator, *this, 0, wire::MacAddress(mac_base + 1), config_.stack);
 

@@ -19,7 +19,8 @@ SpiderDriver::SpiderDriver(sim::Simulator& simulator, phy::Medium& medium,
   assert(!mode_.fractions.empty());
 
   radio_.set_receiver([this](const wire::Frame& f) { on_radio_frame(f); });
-  radio_.set_address_block({mac_base, mac_base + 1 + config_.num_interfaces});
+  radio_.set_rx_filter({{mac_base, mac_base + 1 + config_.num_interfaces},
+                        mac::Scanner::kHeardTypes});
   scanner_.set_prober([this] { send_probe_request(); });
 
   vifs_.reserve(config_.num_interfaces);

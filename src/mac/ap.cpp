@@ -33,6 +33,10 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
       radio_(medium, bssid, [position] { return position; },
              stationary_radio()) {
   radio_.set_receiver([this](const Frame& f) { on_frame(f); });
+  // The hardware filter on_frame relies on: frames addressed to the BSSID,
+  // plus every probe request (broadcast or directed at another AP).
+  radio_.set_rx_filter({{bssid.raw(), bssid.raw() + 1},
+                        wire::frame_type_bit(FrameType::kProbeRequest)});
   // The AP parks on its channel permanently; the constructor-time tune pays
   // the one-off reset before the experiment starts.
   radio_.tune(config_.channel);
@@ -113,22 +117,25 @@ void AccessPoint::send_beacon() {
       beacon.tim_aids.push_back(state.aid);
     }
   }
-  radio_.send(beacon);
+  radio_.send(std::move(beacon));
 }
 
 void AccessPoint::on_frame(const Frame& frame) {
   if (!powered_) return;  // blackout: the radio may hear, nobody is home
-  // Filter: management requests addressed to us (or broadcast probes), and
-  // data/control frames within our BSS.
+  // Act on probe requests that are broadcast or ours, and on requests and
+  // data/control frames addressed to us within our BSS: a subset of what
+  // the radio's filter passes, so the medium may drop everything else.
+  if (frame.type == FrameType::kProbeRequest) {
+    if (frame.dst.is_broadcast() || frame.dst == bssid()) handle_probe(frame);
+    return;
+  }
+  if (frame.dst != bssid()) return;
   switch (frame.type) {
-    case FrameType::kProbeRequest:
-      if (frame.dst.is_broadcast() || frame.dst == bssid()) handle_probe(frame);
-      return;
     case FrameType::kAuthRequest:
-      if (frame.dst == bssid()) handle_auth(frame);
+      handle_auth(frame);
       return;
     case FrameType::kAssocRequest:
-      if (frame.dst == bssid()) handle_assoc(frame);
+      handle_assoc(frame);
       return;
     case FrameType::kData:
     case FrameType::kNullData:
@@ -144,7 +151,7 @@ void AccessPoint::on_frame(const Frame& frame) {
       }
       return;
     default:
-      return;  // beacons / responses from other APs
+      return;  // station-bound types (responses) are not ours to act on
   }
 }
 
@@ -159,7 +166,7 @@ void AccessPoint::handle_probe(const Frame& frame) {
     resp.bssid = bssid();
     resp.ssid = config_.ssid;
     resp.size_bytes = wire::kMgmtFrameBytes;
-    radio_.send(resp);
+    radio_.send(std::move(resp));
   });
 }
 
@@ -174,7 +181,7 @@ void AccessPoint::handle_auth(const Frame& frame) {
     resp.bssid = bssid();
     resp.status = 0;  // open system: always accept
     resp.size_bytes = wire::kMgmtFrameBytes;
-    radio_.send(resp);
+    radio_.send(std::move(resp));
   });
 }
 
@@ -192,7 +199,7 @@ void AccessPoint::handle_assoc(const Frame& frame) {
       resp.bssid = bssid();
       resp.status = 17;  // IEEE: denied, AP unable to handle more stations
       resp.size_bytes = wire::kMgmtFrameBytes;
-      radio_.send(resp);
+      radio_.send(std::move(resp));
     });
     return;
   }
@@ -213,7 +220,7 @@ void AccessPoint::handle_assoc(const Frame& frame) {
     resp.status = 0;
     resp.aid = aid;
     resp.size_bytes = wire::kMgmtFrameBytes;
-    radio_.send(resp);
+    radio_.send(std::move(resp));
   });
   if (inserted && assoc_listener_) assoc_listener_(requester, true);
 }
@@ -294,7 +301,7 @@ void AccessPoint::transmit_data(wire::MacAddress client, wire::PacketPtr packet,
                                 bool more_data) {
   Frame f = wire::make_data_frame(bssid(), client, bssid(), std::move(packet));
   f.more_data = more_data;
-  radio_.send(f);
+  radio_.send(std::move(f));
 }
 
 bool AccessPoint::is_associated(wire::MacAddress client) const {

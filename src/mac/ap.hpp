@@ -81,6 +81,7 @@ class AccessPoint {
 
   const ApConfig& config() const { return config_; }
   wire::Bssid bssid() const { return radio_.mac(); }
+  phy::Radio& radio() { return radio_; }
   wire::Channel channel() const { return config_.channel; }
   Position position() const { return position_; }
 

@@ -58,6 +58,12 @@ class Scanner {
   /// Feed every received frame; beacons/probe responses update the cache.
   void on_frame(const wire::Frame& frame);
 
+  /// The frame types on_frame learns from, whoever they are addressed to:
+  /// what a driver's receive filter must overhear for its scanner.
+  static constexpr wire::FrameTypeMask kHeardTypes =
+      wire::frame_type_bit(wire::FrameType::kBeacon) |
+      wire::frame_type_bit(wire::FrameType::kProbeResponse);
+
   /// All fresh observations (optionally restricted to one channel),
   /// strongest RSSI first.
   std::vector<ApObservation> current() const;

@@ -57,32 +57,13 @@ void Medium::CellSoA::erase_at(std::vector<Slot>& registry, std::size_t i) {
   }
 }
 
-// --- ChannelGrid: flat cell table + occupancy bitmap -------------------
+// --- ChannelGrid: flat cell table -------------------------------------
 
 std::uint32_t Medium::ChannelGrid::find(std::uint64_t key) const {
   if (bucket_mask == 0) return kNoCell;
   std::size_t i = mix_cell(key) & bucket_mask;
   while (vals[i] != kNoCell) {
     if (keys[i] == key) return vals[i];
-    i = (i + 1) & bucket_mask;
-  }
-  return kNoCell;
-}
-
-std::uint32_t Medium::ChannelGrid::find_occupied(std::uint64_t key) const {
-  if (bucket_mask == 0) return kNoCell;
-  const std::size_t h = mix_cell(key) & bucket_mask;
-  // The bitmap bit covers every *non-empty* cell whose home bucket is h, so
-  // a clear bit proves the probed cell is absent or empty — the common case
-  // for a sparse deployment's neighborhood, answered without touching the
-  // table arrays at all.
-  if ((occ_bits[h >> 6] & (1ull << (h & 63))) == 0) return kNoCell;
-  std::size_t i = h;
-  while (vals[i] != kNoCell) {
-    if (keys[i] == key) {
-      const std::uint32_t ci = vals[i];
-      return cells[ci].empty() ? kNoCell : ci;
-    }
     i = (i + 1) & bucket_mask;
   }
   return kNoCell;
@@ -109,31 +90,15 @@ std::uint32_t Medium::ChannelGrid::find_or_create(std::uint64_t key) {
   return ci;
 }
 
-void Medium::ChannelGrid::occ_add(std::uint64_t key) {
-  const std::size_t h = mix_cell(key) & bucket_mask;
-  if (occ_refs[h]++ == 0) occ_bits[h >> 6] |= 1ull << (h & 63);
-}
-
-void Medium::ChannelGrid::occ_sub(std::uint64_t key) {
-  const std::size_t h = mix_cell(key) & bucket_mask;
-  if (--occ_refs[h] == 0) occ_bits[h >> 6] &= ~(1ull << (h & 63));
-}
-
 void Medium::ChannelGrid::rehash(std::size_t capacity) {
   bucket_mask = capacity - 1;
   keys.assign(capacity, 0);
   vals.assign(capacity, kNoCell);
-  occ_bits.assign(capacity / 64, 0);
-  occ_refs.assign(capacity, 0);
   for (std::uint32_t ci = 0; ci < cells.size(); ++ci) {
     std::size_t i = mix_cell(cells[ci].key) & bucket_mask;
     while (vals[i] != kNoCell) i = (i + 1) & bucket_mask;
     keys[i] = cells[ci].key;
     vals[i] = ci;
-    if (!cells[ci].empty()) {
-      const std::size_t h = mix_cell(cells[ci].key) & bucket_mask;
-      if (occ_refs[h]++ == 0) occ_bits[h >> 6] |= 1ull << (h & 63);
-    }
   }
 }
 
@@ -218,10 +183,9 @@ void Medium::grid_insert(ChannelState& state, std::uint32_t slot,
   if (s.max_speed > 0.0) s.safe_until = motion_horizon(s, pos);
   ChannelGrid& g = state.grid;
   const std::uint32_t ci = g.find_or_create(s.cell);
-  CellSoA& cell = g.cells[ci];
-  if (cell.empty()) g.occ_add(s.cell);
   s.cell_idx = ci;
-  cell.insert_sorted(slots_, slot, s.attach_seq);
+  g.cells[ci].insert_sorted(slots_, slot, s.attach_seq);
+  ++g.epoch;  // every cached neighbourhood is stale now
 }
 
 void Medium::grid_remove(ChannelState& state, std::uint32_t slot) {
@@ -235,7 +199,7 @@ void Medium::grid_remove(ChannelState& state, std::uint32_t slot) {
     grid_fatal("grid_remove: slot missing from its recorded cell");
   }
   cell.erase_at(slots_, s.lane_idx);
-  if (cell.empty()) g.occ_sub(s.cell);
+  ++g.epoch;  // every cached neighbourhood is stale now
 }
 
 void Medium::refresh_mobile_buckets(ChannelState& state) {
@@ -273,40 +237,47 @@ void Medium::refresh_mobile_buckets(ChannelState& state) {
   }
 }
 
-void Medium::gather_neighborhood(const ChannelGrid& g, const Position& pos) {
-  scratch_slots_.clear();
-  const std::int32_t cx = cell_coord(pos.x);
-  const std::int32_t cy = cell_coord(pos.y);
-  // Occupied cells among the 9 probes; the bitmap answers empty/absent ones
-  // without a table walk. Only occupied probes count toward
-  // perf_.grid_cells_scanned (the cost metric of the merge below).
+const std::vector<std::uint32_t>& Medium::gather_neighborhood(
+    ChannelGrid& g, const Position& pos) {
+  const std::uint64_t key = pack_cell(cell_coord(pos.x), cell_coord(pos.y));
+  CellSoA& home = g.cells[g.find_or_create(key)];
+  if (home.hood_epoch != g.epoch) {
+    rebuild_neighborhood(g, home);
+    home.hood_epoch = g.epoch;
+  }
+  // Counted per query, as if the occupied cells were probed afresh, so the
+  // counter reads the same whether or not the cache was warm.
+  perf_.grid_cells_scanned += home.hood_cells;
+  return home.hood;
+}
+
+void Medium::rebuild_neighborhood(const ChannelGrid& g, CellSoA& home) {
+  home.hood.clear();
+  const auto cx = static_cast<std::int32_t>(home.key >> 32);
+  const auto cy = static_cast<std::int32_t>(home.key & 0xFFFFFFFFu);
+  // Occupied cells among the 9 around `home` (itself included).
   const CellSoA* lists[9];
   std::size_t heads[9];
   int n = 0;
   std::size_t total = 0;
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::uint32_t ci = g.find_occupied(pack_cell(cx + dx, cy + dy));
-      if (ci == ChannelGrid::kNoCell) continue;
+      const std::uint32_t ci = g.find(pack_cell(cx + dx, cy + dy));
+      if (ci == ChannelGrid::kNoCell || g.cells[ci].empty()) continue;
       lists[n] = &g.cells[ci];
       heads[n] = 0;
       total += lists[n]->size();
       ++n;
     }
   }
-  perf_.grid_cells_scanned += static_cast<std::uint64_t>(n);
+  home.hood_cells = static_cast<std::uint32_t>(n);
   if (n == 0) return;
-  if (n == 1) {
-    const CellSoA& c = *lists[0];
-    scratch_slots_.assign(c.slots.begin(), c.slots.end());
-    return;
-  }
   // Order-preservation rule (DESIGN.md §10): the RNG-consuming loss draws
   // in transmit must visit candidates in the channel's attach order, so
   // the merged neighborhood is emitted in ascending attach_seq — the order
   // every per-cell lane already keeps. A 9-way sorted merge replaces the
   // old gather-then-sort.
-  scratch_slots_.reserve(total);
+  home.hood.reserve(total);
   while (n > 1) {
     int best = 0;
     std::uint64_t best_seq = lists[0]->seqs[heads[0]];
@@ -318,7 +289,7 @@ void Medium::gather_neighborhood(const ChannelGrid& g, const Position& pos) {
       }
     }
     const CellSoA& c = *lists[best];
-    scratch_slots_.push_back(c.slots[heads[best]]);
+    home.hood.push_back(c.slots[heads[best]]);
     if (++heads[best] == c.size()) {
       --n;
       lists[best] = lists[n];
@@ -327,8 +298,7 @@ void Medium::gather_neighborhood(const ChannelGrid& g, const Position& pos) {
   }
   // Bulk-append the lone survivor's tail.
   const CellSoA& c = *lists[0];
-  scratch_slots_.insert(scratch_slots_.end(), c.slots.begin() + heads[0],
-                        c.slots.end());
+  home.hood.insert(home.hood.end(), c.slots.begin() + heads[0], c.slots.end());
 }
 
 std::uint32_t Medium::allocate_slot() {
@@ -414,7 +384,7 @@ void Medium::proxy_attach(const ShardProxyDesc& desc) {
   auto info = std::make_unique<ProxyInfo>();
   info->gid = desc.gid;
   info->channel = desc.channel;
-  info->addrs = desc.addrs;
+  info->filter = desc.filter;
   info->pos_at = desc.pos_at;
   const std::uint32_t slot = allocate_slot();
   info->slot = slot;
@@ -504,8 +474,11 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
   // position).
   ChannelState& state = channel_state(channel);
   refresh_mobile_buckets(state);
-  gather_neighborhood(state.grid, tx_pos);
-  const std::size_t count = scratch_slots_.size();
+  // Nothing below changes the grid's membership, so the cached list stays
+  // put while the loop walks it.
+  const std::vector<std::uint32_t>& hood =
+      gather_neighborhood(state.grid, tx_pos);
+  const std::size_t count = hood.size();
   // A local sender is always a member of its own candidate set (a remote
   // injection has no local sender); checking before the subtraction keeps
   // the examined counter exact and guards the empty set (size - 1 would
@@ -546,21 +519,25 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
     const double p_loss = 1.0 - (1.0 - p_prop) * (1.0 - impairment);
 
     // Unicast frames to their addressee enjoy link-layer ARQ; everyone
-    // else (and all broadcast traffic) gets a single shot. A proxy owns
-    // the address block its client's real radio declared.
+    // else (and all broadcast traffic) gets a single shot. A proxy applies
+    // the receive filter its client's real radio declared.
     const Slot& rs = slots_[rx_slot];
-    const wire::MacBlock& owned = rs.proxy != nullptr
-                                      ? rs.proxy->addrs
-                                      : rs.radio->address_block();
-    const bool arq = !body.dst.is_broadcast() && owned.contains(body.dst);
+    const wire::RxFilter& filter =
+        rs.proxy != nullptr ? rs.proxy->filter : rs.radio->rx_filter();
+    const bool addressed = filter.addrs.contains(body.dst);
+    const bool arq = !body.dst.is_broadcast() && addressed;
     const int attempts_allowed = arq ? 1 + kMediumDefaultRetryLimit : 1;
     int attempt = 1;
     while (attempt <= attempts_allowed && rng_.chance(p_loss)) ++attempt;
     if (attempt > attempts_allowed) return;  // lost despite retries
+    ++perf_.frames_fanout;
+    // The frame reached the receiver's antenna (the draws above keep the
+    // RNG stream whole); its hardware filter drops what it does not want,
+    // so no delivery is scheduled (DESIGN.md §10).
+    if (!addressed && !filter.overhears(body.type)) return;
 
     const double rssi = propagation_.rssi_dbm_at(dist);
     ++bodies_[body_idx].refs;
-    ++perf_.frames_fanout;
     // Each retry costs roughly one more airtime before the frame lands,
     // measured from the *decision* time t0 — for a local transmit that is
     // now, for a remote injection the sender's original timestamp, so the
@@ -613,7 +590,7 @@ void Medium::fanout(wire::Channel channel, const Position& tx_pos, Time t0,
   // slots that actually surface as candidates instead of the whole channel
   // roster.
   const Time now = sim_.now();
-  for (const std::uint32_t rx_slot : scratch_slots_) {
+  for (const std::uint32_t rx_slot : hood) {
     if (rx_slot == sender_slot) continue;
     Slot& s = slots_[rx_slot];
     if (is_excluded(s)) continue;

@@ -67,11 +67,13 @@ inline constexpr double kGridSlackFraction = 0.1;
 /// the whole channel would visit, so every RNG draw and delivered-frame set
 /// is independent of the cell size. Cells are flat SoA lanes (slot /
 /// attach_seq / position / generation in parallel contiguous arrays,
-/// attach_seq-sorted) behind an open-addressed cell table with a
-/// per-channel occupancy bitmap, so the 9-cell probe skips empty cells on
-/// one bit test and the neighborhood is a 9-way sorted merge that streams
-/// lanes — no hashing chains, no per-transmit sort, no per-candidate
-/// position() calls. The
+/// attach_seq-sorted) behind an open-addressed cell table. Each cell caches
+/// its 3x3 neighborhood, a 9-way sorted merge of the lanes around it,
+/// rebuilt only after the channel's membership changes, so a transmit
+/// costs one table probe and a copy — no hashing chains, no per-transmit
+/// merge or sort, no per-candidate position() calls. A receiver's declared
+/// filter (wire::RxFilter) drops frames it would discard before any
+/// delivery is scheduled. The
 /// frame body is moved once into a refcounted pooled cell; each scheduled
 /// delivery carries only {cell index, slot, generation, rssi} — a trivially
 /// copyable reception record that rides the event queue's inline buffer via
@@ -119,9 +121,9 @@ class Medium {
   std::uint64_t fanout_scheduled() const { return perf_.frames_fanout; }
   /// Same-channel candidate radios examined across all transmits.
   std::uint64_t candidates_examined() const { return perf_.radio_candidates; }
-  /// *Occupied* grid cells probed by neighborhood queries (at most 9 per
-  /// transmit; empty cells are skipped by the occupancy bitmap and not
-  /// counted).
+  /// *Occupied* grid cells in the neighborhoods of all transmits (at most
+  /// 9 per transmit; empty cells are not counted). Counted per transmit
+  /// whether the neighborhood came from the cache or a rebuild.
   std::uint64_t grid_cells_scanned() const { return perf_.grid_cells_scanned; }
   /// Mobile radios moved between grid cells by the position-epoch sweep
   /// (stationary radios never contribute).
@@ -174,12 +176,12 @@ class Medium {
   friend struct MediumTestPeer;
 
   /// A remote client's standing on this shard: enough state to stand in
-  /// for the real radio in the transmit loop (position, ARQ address range)
+  /// for the real radio in the transmit loop (position, receive filter)
   /// and to forward survivors home. Owned by proxies_; slots point here.
   struct ProxyInfo {
     std::uint64_t gid = 0;
     wire::Channel channel = 1;
-    wire::MacBlock addrs;  ///< unicast ownership (the ARQ gate)
+    wire::RxFilter filter;  ///< the client radio's, copied at registration
     std::function<Position(Time)> pos_at;
     std::uint32_t slot = 0;
   };
@@ -265,6 +267,13 @@ class Medium {
     std::uint64_t key = 0;  ///< packed (cx, cy), for table rebuilds
     std::vector<std::uint32_t> slots;
     std::vector<std::uint64_t> seqs;  ///< attach_seq, ascending
+    /// Cached 3x3 neighborhood of this cell: the members of the nine
+    /// cells around it (itself included) in attach order, and how many of
+    /// those cells were occupied. Valid while hood_epoch equals the
+    /// grid's epoch; the next transmit from this cell rebuilds it after.
+    std::vector<std::uint32_t> hood;
+    std::uint32_t hood_cells = 0;
+    std::uint64_t hood_epoch = 0;
     bool empty() const { return slots.empty(); }
     std::size_t size() const { return slots.size(); }
     /// Sorted insert at the attach_seq rank, updating the registry's cached
@@ -278,33 +287,25 @@ class Medium {
   };
 
   /// One channel's spatial hash: an open-addressed (linear probing) table
-  /// from packed cell to an index into a pool of SoA cells, plus an
-  /// occupancy bitmap over home buckets so probing an empty or absent cell
-  /// costs one L1-resident bit test — no hash-chain walk, no node
-  /// dereference. Cells are never erased from the table (a cell that
-  /// empties keeps its storage and drops out of the bitmap), so the pool is
-  /// bounded by the distinct cells ever occupied and linear probing needs
-  /// no tombstones.
+  /// from packed cell to an index into a pool of SoA cells. Cells are never
+  /// erased from the table (a cell that empties keeps its storage), so the
+  /// pool is bounded by the distinct cells ever occupied or transmitted
+  /// from, and linear probing needs no tombstones.
   struct ChannelGrid {
     static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
 
-    std::vector<std::uint64_t> keys;      ///< table: packed cell per bucket
-    std::vector<std::uint32_t> vals;      ///< table: cell index or kNoCell
-    std::vector<std::uint64_t> occ_bits;  ///< bit per bucket: non-empty home
-    std::vector<std::uint32_t> occ_refs;  ///< non-empty cells homed at bucket
-    std::vector<CellSoA> cells;           ///< SoA pool; indices are stable
-    std::size_t bucket_mask = 0;          ///< capacity - 1 (0: unallocated)
+    std::vector<std::uint64_t> keys;  ///< table: packed cell per bucket
+    std::vector<std::uint32_t> vals;  ///< table: cell index or kNoCell
+    std::vector<CellSoA> cells;       ///< SoA pool; indices are stable
+    std::size_t bucket_mask = 0;      ///< capacity - 1 (0: unallocated)
+    /// Bumped by every membership change (grid_insert / grid_remove), which
+    /// invalidates every cell's cached neighborhood at once.
+    std::uint64_t epoch = 1;
 
-    /// Table lookup, bitmap-gated: kNoCell when the cell is absent *or*
-    /// currently empty — exactly the cells a neighborhood probe skips.
-    std::uint32_t find_occupied(std::uint64_t key) const;
-    /// Table lookup without the bitmap gate (empty cells are found too).
+    /// Table lookup (empty cells are found too).
     std::uint32_t find(std::uint64_t key) const;
     /// Lookup-or-insert; grows and rehashes at 50% load.
     std::uint32_t find_or_create(std::uint64_t key);
-    /// Occupancy transitions (cell went 0 -> 1 / 1 -> 0 members).
-    void occ_add(std::uint64_t key);
-    void occ_sub(std::uint64_t key);
     void rehash(std::size_t capacity);
   };
 
@@ -358,11 +359,16 @@ class Medium {
   /// minus a 1 mm guard, with sec() truncating — every error source
   /// under-estimates the horizon, never over.
   Time motion_horizon(const Slot& s, const Position& pos) const;
-  /// Fills scratch_slots_ with the 3x3 neighborhood of `pos` in `grid`
-  /// via a 9-way merge of attach_seq-sorted cell lanes (the channel's
-  /// attach order). Candidate positions and generations are read from the
-  /// central per-slot lanes, fresh as of refresh_mobile_buckets.
-  void gather_neighborhood(const ChannelGrid& grid, const Position& pos);
+  /// The 3x3 neighborhood of `pos` in `grid`, in the channel's attach
+  /// order: the cached list of the cell holding `pos` (created if absent),
+  /// rebuilt first when stale. Valid until the grid's next membership
+  /// change or cell creation. Candidate positions and generations are read
+  /// from the central per-slot lanes, fresh as of refresh_mobile_buckets.
+  const std::vector<std::uint32_t>& gather_neighborhood(ChannelGrid& grid,
+                                                        const Position& pos);
+  /// Recomputes `home`'s cached neighborhood: a 9-way merge of the
+  /// attach_seq-sorted lanes of the occupied cells around it.
+  static void rebuild_neighborhood(const ChannelGrid& grid, CellSoA& home);
   /// Buckets a slot on `channel` (attach, proxy attach, retune): into the
   /// grid, and into the mobile roster when `mobile`.
   void place(wire::Channel channel, std::uint32_t slot, const Position& pos,
@@ -391,9 +397,6 @@ class Medium {
   /// functions of sim time — the MobilityModel contract).
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
-  /// Reused candidate scratch for grid queries (cleared per transmit; no
-  /// steady-state allocation once its capacity plateaus).
-  std::vector<std::uint32_t> scratch_slots_;
 
   /// Sharded formations only (null in every serial run).
   ShardLink* shard_link_ = nullptr;

@@ -83,17 +83,19 @@ class Radio {
   /// until the retune completes.
   void send(wire::Frame frame);
 
-  /// Upcall for every frame heard on the tuned channel (promiscuous: the
-  /// MAC above filters by address; the scanner wants overheard beacons).
+  /// Upcall for every frame heard on the tuned channel that passes the
+  /// receive filter below.
   void set_receiver(ReceiveFn receiver) { receiver_ = std::move(receiver); }
 
-  /// Declares the block of unicast destinations this card answers for,
-  /// as a NIC programs its address filter. A virtualised driver claims
-  /// its own MAC and every interface MAC; the medium applies link-layer
-  /// ARQ only to frames an addressee will ACK. Default: only the card's
-  /// own MAC, [mac, mac + 1).
-  void set_address_block(wire::MacBlock block) { address_block_ = block; }
-  const wire::MacBlock& address_block() const { return address_block_; }
+  /// Declares the receive filter, as a NIC programs its address filter:
+  /// the block of unicast destinations this card answers for (a
+  /// virtualised driver claims its own MAC and every interface MAC) and
+  /// the frame types it overhears when addressed elsewhere. The medium
+  /// applies link-layer ARQ only to frames in the block, and schedules no
+  /// delivery for a frame the filter rejects. Default: only the card's own
+  /// MAC, [mac, mac + 1), and every frame type overheard.
+  void set_rx_filter(wire::RxFilter filter) { rx_filter_ = filter; }
+  const wire::RxFilter& rx_filter() const { return rx_filter_; }
 
   /// Called by the medium on delivery.
   void deliver(const wire::Frame& frame);
@@ -128,7 +130,7 @@ class Radio {
   PositionFn position_;
   RadioConfig config_;
   ReceiveFn receiver_;
-  wire::MacBlock address_block_{mac_.raw(), mac_.raw() + 1};
+  wire::RxFilter rx_filter_{{mac_.raw(), mac_.raw() + 1}};
 
   wire::Channel channel_ = 1;
   bool resetting_ = false;

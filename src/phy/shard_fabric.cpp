@@ -191,7 +191,7 @@ void ShardFabric::register_client(int home, Radio& radio,
   info.home = home;
   info.pos_at = std::move(pos_at);
   info.max_speed = max_speed_mps;
-  info.addrs = radio.address_block();
+  info.filter = radio.rx_filter();
   homed_[static_cast<std::size_t>(home)].push_back({gid, &info});
 
   // Initial placement: the owner of the radio's boot channel stripe at its
@@ -313,7 +313,7 @@ void ShardFabric::move_proxy(int home, ClientInfo& info, std::uint64_t gid,
   ShardProxyDesc desc;
   desc.gid = gid;
   desc.channel = channel;
-  desc.addrs = info.addrs;
+  desc.filter = info.filter;
   desc.pos_at = info.pos_at;
   desc.max_speed_mps = info.max_speed;
   Medium* new_m = mediums_[static_cast<std::size_t>(new_shard)];

@@ -78,7 +78,7 @@ ShardPartition build_shard_partition(
 ///    client's home shard thread (retune upcalls and the migration sweep)
 ///    and read only there;
 ///  - other threads (a proxy's owner forwarding a delivery) read only the
-///    immutable fields (home, address block, pos_at);
+///    immutable fields (home, receive filter, pos_at);
 ///  - all cross-shard effects travel as ShardedSimulator mailbox thunks.
 class ShardFabric {
  public:
@@ -98,8 +98,8 @@ class ShardFabric {
   /// radio (its attach has already been intercepted) and before
   /// ShardedSimulator::drain_initial, from the coordinating thread.
   /// `pos_at` must be a pure function of sim time (the MobilityModel
-  /// contract). The proxy's ARQ gate is the radio's declared address
-  /// block, so set it before registering.
+  /// contract). The proxy applies the radio's declared receive filter
+  /// (ARQ gate and drops), so set it before registering.
   void register_client(int home, Radio& radio,
                        std::function<Position(Time)> pos_at,
                        double max_speed_mps);
@@ -134,7 +134,7 @@ class ShardFabric {
     int home = 0;
     std::function<Position(Time)> pos_at;
     double max_speed = 0.0;
-    wire::MacBlock addrs;
+    wire::RxFilter filter;
     // Home-thread-only placement state.
     int cur_shard = -1;
     wire::Channel cur_channel = 1;

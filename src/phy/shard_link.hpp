@@ -35,9 +35,9 @@ struct ShardProxyDesc {
   /// Global radio identity: the raw MAC of the client's physical radio.
   std::uint64_t gid = 0;
   wire::Channel channel = 1;
-  /// Unicast addresses the client's radio declared it answers for (the
-  /// ARQ gate).
-  wire::MacBlock addrs;
+  /// The receive filter the client's radio declared: its address block
+  /// is the ARQ gate, and frames it rejects are never forwarded home.
+  wire::RxFilter filter;
   /// Pure function of sim time (the MobilityModel contract) — safe to
   /// evaluate from the owning shard's thread with its own clock.
   std::function<Position(Time)> pos_at;

@@ -126,30 +126,31 @@ void ShardedSimulator::shard_main(int s, Time deadline, SpinBarrier& gate) {
     const Time target = std::min(Time{window_.count() * static_cast<Time::rep>(k)},
                                  deadline);
     // Sends made while executing window k land in parity k&1, which the
-    // receivers drain after the two barriers below.
+    // receivers drain after the barrier below.
     lane.out_parity = parity;
     sim.run_until(target);
-    if (sim.interrupted()) stop_.store(true, std::memory_order_relaxed);
+    if (sim.interrupted()) stop_[parity].store(true, std::memory_order_relaxed);
     // Sends made while *draining* window k (a forwarded delivery whose
     // upcall transmits) belong to the next window.
     lane.out_parity = parity ^ 1;
     const Clock::time_point t1 = Clock::now();
-    gate.arrive_and_wait();  // A_k: all window-k sends and stop votes visible
-    if (stop_.load(std::memory_order_relaxed)) {
+    // A_k: all window-k sends and stop votes visible. Votes of window k+1
+    // go to the other parity, and window k+2's cannot start before every
+    // shard has passed A_{k+1}, i.e. has read this flag: every shard sees
+    // the same vote and leaves at the same boundary.
+    gate.arrive_and_wait();
+    if (stop_[parity].load(std::memory_order_relaxed)) {
       lane.time.busy_s += seconds_between(t0, t1);
       lane.time.wait_s += seconds_between(t1, Clock::now());
       break;
     }
-    // B_k: every shard has read the stop flag for window k, so none can
-    // set it for window k+1 first.
-    gate.arrive_and_wait();
     const Clock::time_point t2 = Clock::now();
     // The drain needs no barrier behind it: it reads parity k&1, which no
     // shard writes again before window k+2 (after A_{k+1}, which this
     // shard reaches only once the drain is done), and its own sends go to
     // parity (k+1)&1 like the next window's. So one shard's drain overlaps
     // the others' window k+1, and the per-shard order of events, drains
-    // and hooks is the same as draining between two barriers.
+    // and hooks is the same as draining between barriers.
     drain(s, parity);
     if (const Hook& hook = hooks_[static_cast<std::size_t>(s)]) hook();
     const Clock::time_point t3 = Clock::now();
@@ -164,7 +165,9 @@ void ShardedSimulator::shard_main(int s, Time deadline, SpinBarrier& gate) {
 
 bool ShardedSimulator::run_until(Time deadline, CancelToken* cancel) {
   const int s = shards();
-  stop_.store(false, std::memory_order_relaxed);
+  for (std::atomic<bool>& flag : stop_) {
+    flag.store(false, std::memory_order_relaxed);
+  }
   for (Simulator* sim : sims_) {
     if (cancel != nullptr) sim->set_cancel_token(cancel);
   }

@@ -57,11 +57,13 @@ class SpinBarrier {
 /// Each shard is an ordinary single-threaded Simulator advanced on its own
 /// worker thread. Time is divided into fixed windows of `window` (the
 /// cross-shard lookahead, see phy/shard_link.hpp for the derivation): all
-/// shards execute window k and rendezvous at barrier A (every window-k
-/// message and stop vote is then visible), read the stop flag and
-/// rendezvous at barrier B (every vote has been read); then each shard
-/// applies the messages addressed to it, runs its window hooks and goes on
-/// to window k+1, overlapping the other shards' drains. The protocol is
+/// shards execute window k and rendezvous at one barrier (every window-k
+/// message and stop vote is then visible) and read window k's stop flag;
+/// then each shard applies the messages addressed to it, runs its window
+/// hooks and goes on to window k+1, overlapping the other shards' drains.
+/// The stop flag is double-buffered by window parity like the mailboxes,
+/// so a fast shard voting to stop in window k+1 cannot flip the flag a
+/// slow shard is still to read for window k. The protocol is
 /// safe — no shard ever receives a message destined for its past — as
 /// long as every cross-shard interaction committed while
 /// executing window k takes effect strictly after the window boundary k*W,
@@ -72,7 +74,7 @@ class SpinBarrier {
 /// mailboxes, stored inline (no heap cell per message). Each mailbox is
 /// double-buffered by window parity: while the receiver drains parity k&1,
 /// senders append to parity (k+1)&1, so no buffer is ever read and written
-/// concurrently; the only atomics in the engine are the stop flag, the
+/// concurrently; the only atomics in the engine are the stop flags, the
 /// cancel token and the rendezvous barrier's own counters (SpinBarrier).
 /// Drains apply thunks in sender order 0..S-1, FIFO within a sender — a
 /// deterministic order per shard count, which is exactly the
@@ -138,7 +140,7 @@ class ShardedSimulator {
   /// Windows executed by the last run_until (diagnostics).
   std::uint64_t windows_run() const { return windows_; }
   /// Where one shard's wall-clock went during the last run_until, in
-  /// seconds: executing its windows (busy), blocked at the two barriers
+  /// seconds: executing its windows (busy), blocked at the barrier
   /// (wait), and applying its mailbox plus window hooks (drain). Host-
   /// dependent diagnostics; the three add up to the formation's wall.
   struct ShardTime {
@@ -182,7 +184,9 @@ class ShardedSimulator {
   std::vector<Mailbox> boxes_;  ///< S*S, row-major by sender
   std::vector<Lane> lanes_;     ///< one per shard
   std::vector<Hook> hooks_;     ///< one per shard; empty = none
-  std::atomic<bool> stop_{false};
+  /// Stop votes, indexed by window parity: window k's votes go to
+  /// stop_[k & 1], which nobody writes again before window k+2.
+  std::atomic<bool> stop_[2] = {false, false};
   std::uint64_t windows_ = 0;
 };
 

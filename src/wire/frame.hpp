@@ -36,6 +36,31 @@ enum class FrameType {
 
 const char* to_string(FrameType t);
 
+/// A set of frame types, one bit per FrameType.
+using FrameTypeMask = std::uint32_t;
+
+constexpr FrameTypeMask frame_type_bit(FrameType t) {
+  return FrameTypeMask{1} << static_cast<unsigned>(t);
+}
+
+/// Every frame type the reproduction models (kPsPoll is the last one).
+inline constexpr FrameTypeMask kAllFrameTypes =
+    frame_type_bit(FrameType::kPsPoll) * 2 - 1;
+
+/// A radio's receive filter, as a NIC programs it: the block of unicast
+/// destinations the card answers for, plus the frame types it also wants
+/// when they are addressed to someone else (or broadcast). The medium
+/// schedules a delivery only for frames that pass it (DESIGN.md §10), so a
+/// filter must accept every frame its receiver acts on.
+struct RxFilter {
+  MacBlock addrs;
+  FrameTypeMask overheard = kAllFrameTypes;
+
+  constexpr bool overhears(FrameType t) const {
+    return (overheard & frame_type_bit(t)) != 0;
+  }
+};
+
 /// An 802.11 MAC frame. As with packets, no bytes are serialised; the
 /// explicit `size_bytes` drives airtime accounting.
 struct Frame {

@@ -209,7 +209,7 @@ TEST(DriverInternals, EveryDriverClaimsExactlyItsOwnMacs) {
   // nothing more: the medium's ARQ gate, and a formation proxy's, read it.
   trace::Testbed bed(quiet_air());
   const auto expect_block = [](core::DriverBase& driver, phy::Radio& radio) {
-    const wire::MacBlock& block = radio.address_block();
+    const wire::MacBlock& block = radio.rx_filter().addrs;
     EXPECT_EQ(block.lo, radio.mac().raw());
     EXPECT_EQ(block.hi, radio.mac().raw() + 1 + driver.num_interfaces());
     for (std::size_t i = 0; i < driver.num_interfaces(); ++i) {
@@ -372,6 +372,165 @@ TEST(DriverInternals, WakeModeOutpacesPsPoll) {
   // shows 1.8-14x depending on dwell; assert a conservative margin).
   EXPECT_GT(static_cast<double>(run(core::PsmRetrieval::kWakeNull)),
             1.3 * static_cast<double>(run(core::PsmRetrieval::kPsPoll)));
+}
+
+// --- receive filters ---------------------------------------------------
+// The medium schedules no delivery for a frame its receiver's declared
+// filter rejects (DESIGN.md §10). That is sound only if the receiver would
+// have done nothing with it. So every rejected frame is handed straight to
+// Radio::deliver here: the receiver's state must not move, and a twin
+// world that never saw the frames must run on to the same event counts.
+
+enum class Receiver { kAp, kSpider, kFatVap, kStock };
+
+std::string scanner_state(const mac::Scanner& scanner) {
+  std::string out = "cache=" + std::to_string(scanner.cache_size());
+  for (const mac::ApObservation& o : scanner.current()) {
+    out += " " + o.bssid.to_string() + "/" + std::to_string(o.rssi_dbm) +
+           "/" + std::to_string(o.frames_heard) + "/" +
+           std::to_string(o.last_seen.count());
+  }
+  return out;
+}
+
+std::string ap_state(const mac::AccessPoint& ap, wire::MacAddress client) {
+  return "assoc=" + std::to_string(ap.associated_count()) +
+         " client=" + std::to_string(ap.is_associated(client)) +
+         " buffered=" + std::to_string(ap.psm_buffered(client)) +
+         " grants=" + std::to_string(ap.assoc_grants()) +
+         " denials=" + std::to_string(ap.assoc_denials()) +
+         " psm_drops=" + std::to_string(ap.psm_drops());
+}
+
+struct FilterRun {
+  std::uint64_t handed = 0;  ///< rejected frames handed to Radio::deliver
+  std::string end;           ///< event counts and state at the horizon
+};
+
+/// One AP on channel 6 and one client joined to it. At 10 s, with
+/// `inject`, every frame type x dst {own, other, broadcast} x bssid {own,
+/// other} that the receiver's filter rejects is delivered to its radio,
+/// each checked to leave the receiver's state as it was.
+FilterRun run_filter_world(Receiver receiver, bool inject) {
+  trace::Testbed bed(quiet_air());
+  trace::Testbed::ApSpec spec;
+  spec.channel = 6;
+  spec.position = {20, 0};
+  spec.dhcp = quick_dhcp();
+  mac::AccessPoint& ap = *bed.add_ap(spec).ap;
+  const auto at_origin = [] { return Position{0, 0}; };
+  const std::uint64_t block = bed.next_client_mac_block();
+  std::unique_ptr<core::SpiderDriver> spider;
+  std::unique_ptr<base::FatVapDriver> fat;
+  std::unique_ptr<base::StockWifiDriver> stock;
+  std::unique_ptr<core::LinkManager> manager;
+  core::DriverBase* driver = nullptr;
+  phy::Radio* client_radio = nullptr;
+  if (receiver == Receiver::kFatVap) {
+    fat = std::make_unique<base::FatVapDriver>(
+        bed.sim, bed.medium, block, at_origin,
+        spider_cfg(core::OperationMode::single(6)), base::FatVapConfig{});
+    manager = std::make_unique<core::LinkManager>(*fat, bed.server_ip());
+    fat->start();
+    driver = fat.get();
+    client_radio = &fat->radio();
+  } else if (receiver == Receiver::kStock) {
+    stock = std::make_unique<base::StockWifiDriver>(
+        bed.sim, bed.medium, block, at_origin, base::StockConfig{},
+        bed.server_ip());
+    stock->start();
+    driver = stock.get();
+    client_radio = &stock->radio();
+  } else {
+    spider = std::make_unique<core::SpiderDriver>(
+        bed.sim, bed.medium, block, at_origin,
+        spider_cfg(core::OperationMode::single(6)));
+    manager = std::make_unique<core::LinkManager>(*spider, bed.server_ip());
+    spider->start();
+    driver = spider.get();
+    client_radio = &spider->radio();
+  }
+  if (manager) manager->start();
+  bed.sim.run_until(sec(10));
+  const wire::MacAddress vif = driver->iface(0).mac();
+  EXPECT_TRUE(ap.is_associated(vif));
+
+  // The AP hears from its associated client; a client hears from its AP.
+  const bool at_ap = receiver == Receiver::kAp;
+  phy::Radio& radio = at_ap ? ap.radio() : *client_radio;
+  const wire::MacAddress src = at_ap ? vif : ap.bssid();
+  const wire::MacAddress own = at_ap ? ap.bssid() : vif;
+  const auto state = [&] {
+    return at_ap ? ap_state(ap, vif) : scanner_state(driver->scanner());
+  };
+
+  FilterRun run;
+  if (inject) {
+    const std::string before = state();
+    const wire::MacAddress other(0x5A5A5A);
+    for (int t = 0; t <= static_cast<int>(wire::FrameType::kPsPoll); ++t) {
+      const auto type = static_cast<wire::FrameType>(t);
+      for (const wire::MacAddress dst :
+           {own, other, wire::MacAddress::broadcast()}) {
+        for (const wire::Bssid bssid : {ap.bssid(), other}) {
+          const wire::RxFilter& filter = radio.rx_filter();
+          if (filter.addrs.contains(dst) || filter.overhears(type)) continue;
+          wire::Frame f;
+          f.type = type;
+          f.src = src;
+          f.dst = dst;
+          f.bssid = bssid;
+          f.size_bytes = wire::kMgmtFrameBytes;
+          f.power_mgmt = true;
+          f.more_data = true;
+          f.ssid = spec.ssid;
+          f.aid = 1;
+          f.tim_aids = {0, 1, 2, 3};
+          f.packet = wire::make_icmp_packet(wire::Ipv4(10, 0, 0, 2),
+                                            bed.server_ip(), wire::IcmpEcho{});
+          f.channel = radio.channel();
+          f.rssi_dbm = -40.0;
+          radio.deliver(f);
+          ++run.handed;
+          EXPECT_EQ(state(), before)
+              << wire::to_string(type) << " to " << dst.to_string()
+              << " in " << bssid.to_string();
+        }
+      }
+    }
+  }
+  bed.sim.run_until(sec(13));
+  const sim::PerfCounters perf = bed.sim.perf();
+  run.end = "popped=" + std::to_string(perf.events_popped) +
+            " cancelled=" + std::to_string(perf.events_cancelled) + " " +
+            state();
+  return run;
+}
+
+TEST(RxFilter, RejectedFramesAreNoOpsForEveryReceiver) {
+  {
+    // A bare radio declares no filter beyond its own MAC: it hears every
+    // frame type, so test radios see everything the medium delivers.
+    trace::Testbed bed(quiet_air());
+    phy::Radio bare(bed.medium, wire::MacAddress(7),
+                    [] { return Position{0, 0}; });
+    EXPECT_EQ(bare.rx_filter().overheard, wire::kAllFrameTypes);
+    for (int t = 0; t <= static_cast<int>(wire::FrameType::kPsPoll); ++t) {
+      EXPECT_TRUE(bare.rx_filter().overhears(static_cast<wire::FrameType>(t)));
+    }
+  }
+  for (const Receiver receiver : {Receiver::kAp, Receiver::kSpider,
+                                  Receiver::kFatVap, Receiver::kStock}) {
+    const FilterRun injected = run_filter_world(receiver, true);
+    const FilterRun twin = run_filter_world(receiver, false);
+    const int where = static_cast<int>(receiver);
+    // dst "other" and broadcast, two bssids, every type not overheard: the
+    // AP overhears only probe requests, the drivers beacons and probe
+    // responses.
+    const std::uint64_t not_overheard = receiver == Receiver::kAp ? 11 : 10;
+    EXPECT_EQ(injected.handed, 2 * 2 * not_overheard) << "receiver " << where;
+    EXPECT_EQ(injected.end, twin.end) << "receiver " << where;
+  }
 }
 
 }  // namespace

@@ -54,19 +54,19 @@ TEST(Radio, OwnsAddressDefaultIsOwnMac) {
   sim::Simulator sim;
   phy::Medium medium(sim, phy::Propagation(phy::PropagationConfig{}), Rng(1));
   phy::Radio r(medium, wire::MacAddress(5), [] { return Position{}; });
-  EXPECT_TRUE(r.address_block().contains(wire::MacAddress(5)));
-  EXPECT_FALSE(r.address_block().contains(wire::MacAddress(6)));
+  EXPECT_TRUE(r.rx_filter().addrs.contains(wire::MacAddress(5)));
+  EXPECT_FALSE(r.rx_filter().addrs.contains(wire::MacAddress(6)));
 }
 
 TEST(Radio, AddressFilterExtendsOwnership) {
   sim::Simulator sim;
   phy::Medium medium(sim, phy::Propagation(phy::PropagationConfig{}), Rng(1));
   phy::Radio r(medium, wire::MacAddress(5), [] { return Position{}; });
-  r.set_address_block({5, 12});  // own MAC plus six interface MACs
-  EXPECT_FALSE(r.address_block().contains(wire::MacAddress(4)));
-  EXPECT_TRUE(r.address_block().contains(wire::MacAddress(5)));
-  EXPECT_TRUE(r.address_block().contains(wire::MacAddress(11)));
-  EXPECT_FALSE(r.address_block().contains(wire::MacAddress(12)));
+  r.set_rx_filter({{5, 12}});  // own MAC plus six interface MACs
+  EXPECT_FALSE(r.rx_filter().addrs.contains(wire::MacAddress(4)));
+  EXPECT_TRUE(r.rx_filter().addrs.contains(wire::MacAddress(5)));
+  EXPECT_TRUE(r.rx_filter().addrs.contains(wire::MacAddress(11)));
+  EXPECT_FALSE(r.rx_filter().addrs.contains(wire::MacAddress(12)));
 }
 
 TEST(Medium, ArqDelaysRetriedFrames) {

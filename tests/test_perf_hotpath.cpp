@@ -291,14 +291,14 @@ TEST(Determinism, FixedSeedScenarioIsBitStable) {
   const auto spider_run = trace::run_scenario(cfg);
   EXPECT_EQ(spider_run.total_bytes, 24709040u);
   EXPECT_EQ(spider_run.join_log.size(), 5u);
-  EXPECT_EQ(spider_run.perf.events_popped, 261192u);
+  EXPECT_EQ(spider_run.perf.events_popped, 217920u);
 
   trace::ScenarioConfig stock_cfg = cfg;
   stock_cfg.driver = trace::DriverKind::kStock;
   const auto stock_run = trace::run_scenario(stock_cfg);
   EXPECT_EQ(stock_run.total_bytes, 2931680u);
   EXPECT_EQ(stock_run.join_log.size(), 3u);
-  EXPECT_EQ(stock_run.perf.events_popped, 80250u);
+  EXPECT_EQ(stock_run.perf.events_popped, 60411u);
 }
 
 }  // namespace

@@ -263,6 +263,45 @@ TEST(ShardedSimulator, OversubscribedUnevenFormationCancelsTogether) {
   }
 }
 
+TEST(ShardedSimulator, NextWindowStopVoteNeverSplitsTheFormation) {
+  // The last shard to reach barrier A_k leaves it at once and votes to
+  // stop on entering window k+1, while the others are still waking from
+  // the barrier to read window k's vote. They must read k's vote (none),
+  // not k+1's: a shard that left at k would strand the voter at A_{k+1}.
+  // A 3 ms spin makes the voter the straggler, long enough for the others
+  // to reach the barrier's park stage; only the voter holds a token.
+  const int width = std::min(8, usable_cpus() + 1);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::unique_ptr<Simulator>> sims;
+    std::vector<Simulator*> raw;
+    for (int s = 0; s < width; ++s) {
+      sims.push_back(std::make_unique<Simulator>());
+      raw.push_back(sims.back().get());
+    }
+    ShardedSimulator bus(raw, usec(100));
+    std::vector<int> hooks(static_cast<std::size_t>(width), 0);
+    for (int s = 0; s < width; ++s) {
+      bus.set_window_hook(
+          s, [&hooks, s] { ++hooks[static_cast<std::size_t>(s)]; });
+    }
+    sim::CancelToken token;
+    Simulator& voter = *sims[static_cast<std::size_t>(rep % width)];
+    voter.set_cancel_token(&token);
+    voter.post_at(usec(450), [&token] {
+      StressFormation::spin_for(std::chrono::microseconds(3000));
+      token.request_cancel();
+    });
+    EXPECT_FALSE(bus.run_until(sec(1)));
+    // Tripped in window 5, seen on entering window 6: every shard left at
+    // that boundary, after the hooks of windows 1-5.
+    EXPECT_EQ(bus.windows_run(), 6u) << "rep " << rep;
+    for (int s = 0; s < width; ++s) {
+      EXPECT_EQ(hooks[static_cast<std::size_t>(s)], 5)
+          << "rep " << rep << " shard " << s;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Partition builder.
 // ---------------------------------------------------------------------

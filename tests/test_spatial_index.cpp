@@ -15,13 +15,16 @@
 
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "phy/medium.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
+#include "phy/shard_link.hpp"
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
 
@@ -776,6 +779,153 @@ TEST(SpatialIndexProperty, GridExaminesFewerCandidatesOnSpreadDeployment) {
   EXPECT_EQ(results[0].delivered, results[1].delivered);
   EXPECT_GT(results[1].candidates, 4 * results[0].candidates)
       << "grid pruned too little on a 4.7 km line of 100 m cells";
+}
+
+// --- neighbourhood cache --------------------------------------------
+// Each cell caches its 3x3 neighbourhood and rebuilds it only after the
+// channel's membership changed. Every kind of membership change is
+// interleaved with transmits here — attach, detach, retune, a mobile
+// crossing cell edges, and a formation proxy placed and unplaced — and
+// each step's delivered set must equal the one-cell reference's.
+
+/// Stands in for a formation: no radio is a shadow, native transmits are
+/// not mirrored, and a delivery to a proxy slot is logged as that proxy's.
+struct RecordingLink final : ShardLink {
+  std::string* log = nullptr;
+  const sim::Simulator* sim = nullptr;
+  bool is_shadow(wire::MacAddress) const override { return false; }
+  void on_shadow_attach(Radio&) override {}
+  void on_shadow_detach(Radio&) override {}
+  void on_shadow_transmit(Radio&, wire::Frame&&, const Position&,
+                          BitRate) override {}
+  void on_shadow_retune(Radio&, wire::Channel) override {}
+  void on_native_transmit(wire::Channel, const Position&, const wire::Frame&,
+                          BitRate, std::uint64_t) override {}
+  void on_proxy_delivery(std::uint64_t gid, const wire::Frame& f,
+                         double) override {
+    *log += std::to_string(sim->now().count()) + ":P" + std::to_string(gid) +
+            ":" + std::to_string(f.src.raw()) + ";";
+  }
+};
+
+struct MembershipRun {
+  std::vector<std::string> steps;  ///< delivered set of each step
+  std::uint64_t candidates = 0;
+  std::uint64_t rebuckets = 0;
+};
+
+MembershipRun run_membership_script(Index index) {
+  sim::Simulator sim;
+  PropagationConfig pc = lossless_config(100.0);
+  pc.good_radius_m = 60.0;  // a lossy fringe: draw order matters
+  pc.base_loss = 0.1;
+  Medium medium(sim, Propagation(pc), Rng(17));
+  const double cell = medium.grid_cell_m();
+  apply_index(medium, index);
+  std::string log;
+  RecordingLink link;
+  link.log = &log;
+  link.sim = &sim;
+  medium.set_shard_link(&link);
+
+  RadioConfig stationary;
+  stationary.mobile = false;
+  std::vector<std::unique_ptr<Radio>> radios;
+  const auto add_static = [&](double x, double y) {
+    const int i = static_cast<int>(radios.size());
+    radios.push_back(std::make_unique<Radio>(
+        medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
+        [x, y] { return Position{x, y}; }, stationary));
+    radios.back()->set_receiver([&log, &sim, i](const wire::Frame& f) {
+      log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
+             ":" + std::to_string(f.src.raw()) + ";";
+    });
+    radios.back()->tune(1);
+  };
+  // Statics spread over a 3x2 block of cells, each near a cell edge.
+  for (const auto& [x, y] : {std::pair{0.3, 0.5}, std::pair{0.9, 0.6},
+                            std::pair{1.2, 0.4}, std::pair{1.8, 0.9},
+                            std::pair{2.1, 0.2}, std::pair{0.6, 1.3}}) {
+    add_static(x * cell, y * cell);
+  }
+  // A mobile driving along y = 0.95 cell at 0.2 cell/s: it crosses the
+  // x = cell and x = 2 cell edges during the script.
+  {
+    const int i = static_cast<int>(radios.size());
+    radios.push_back(std::make_unique<Radio>(
+        medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 1),
+        [&sim, cell] {
+          return Position{0.5 * cell + 0.2 * cell * to_seconds(sim.now()),
+                          0.95 * cell};
+        }));
+    radios.back()->set_receiver([&log, &sim, i](const wire::Frame& f) {
+      log += std::to_string(sim.now().count()) + ":" + std::to_string(i) +
+             ":" + std::to_string(f.src.raw()) + ";";
+    });
+    radios.back()->tune(1);
+  }
+  // A proxy riding the other way along y = 0.5 cell.
+  ShardProxyDesc proxy;
+  proxy.gid = 900;
+  proxy.channel = 1;
+  proxy.filter = {{900, 901}};
+  proxy.pos_at = [cell](Time t) {
+    return Position{2.5 * cell - 0.3 * cell * to_seconds(t), 0.5 * cell};
+  };
+  proxy.max_speed_mps = 0.3 * cell;
+
+  const std::vector<std::function<void()>> script = {
+      [] {},                                             // as built
+      [&] { add_static(1.1 * cell, 0.1 * cell); },       // attach
+      [&] { radios[2].reset(); },                        // detach
+      [&] { medium.proxy_attach(proxy); },               // proxy place
+      [&] { radios[3]->tune(6); },                       // retune away
+      [] {},                                             // mobiles move on
+      [&] { medium.proxy_detach(proxy.gid); },           // proxy unplace
+      [&] { radios[3]->tune(1); },                       // retune back
+      [&] { add_static(2.2 * cell, 1.1 * cell); },       // attach far
+      [&] { radios[6].reset(); },                        // detach the mobile
+      [&] { radios[7].reset(); },                        // detach a newcomer
+  };
+  MembershipRun run;
+  for (const auto& change : script) {
+    change();
+    sim.run_until(sim.now() + msec(10));  // any retune completes
+    for (std::size_t i = 0; i < radios.size(); ++i) {
+      if (!radios[i]) continue;
+      radios[i]->send(broadcast_frame());
+      wire::Frame unicast = broadcast_frame();
+      unicast.type = wire::FrameType::kData;
+      unicast.dst = wire::MacAddress((i + 1) % radios.size() + 1);
+      radios[i]->send(unicast);
+    }
+    sim.run_until(sim.now() + msec(990));
+    run.steps.push_back(std::move(log));
+    log.clear();
+  }
+  run.candidates = medium.candidates_examined();
+  run.rebuckets = medium.grid_rebuckets();
+  for (auto& r : radios) r.reset();  // detach before the link goes away
+  medium.set_shard_link(nullptr);
+  return run;
+}
+
+TEST(SpatialIndexProperty, CachedNeighbourhoodTracksEveryMembershipChange) {
+  const MembershipRun grid = run_membership_script(Index::kGrid);
+  const MembershipRun oracle = run_membership_script(Index::kOneCell);
+  ASSERT_EQ(grid.steps.size(), oracle.steps.size());
+  for (std::size_t k = 0; k < grid.steps.size(); ++k) {
+    EXPECT_FALSE(grid.steps[k].empty()) << "step " << k;
+    EXPECT_EQ(grid.steps[k], oracle.steps[k]) << "step " << k;
+  }
+  // The proxy heard frames while it was placed, and only then.
+  EXPECT_NE(grid.steps[3].find(":P900:"), std::string::npos);
+  EXPECT_EQ(grid.steps[7].find(":P900:"), std::string::npos);
+  // The grid really split the world (fewer candidates than the reference),
+  // and the mobiles really changed cells.
+  EXPECT_LT(grid.candidates, oracle.candidates);
+  EXPECT_GT(grid.rebuckets, 0u);
+  EXPECT_EQ(oracle.rebuckets, 0u);
 }
 
 // --- configuration ---------------------------------------------------
