@@ -215,9 +215,9 @@ int main(int argc, char** argv) {
                                  : 0.0;
       // Informational only: this cell has no speedup floor. A 300 m road
       // with 6 APs does ~0.1 µs of serial work per 192 µs window, so a
-      // formation is all rendezvous and cannot beat the serial engine;
-      // resolve_shards never picks a width above 1 for it. The sharded
-      // speedup is gated on the city cell (ext_citywide --assert-shards).
+      // formation is all rendezvous and cannot beat the serial engine.
+      // The sharded speedup is gated on the city cell (ext_citywide
+      // --assert-shards).
       std::fprintf(stderr, "shards=%d: wall %.3fs, speedup %.2fx\n", s,
                    pair[0].perf.wall_seconds, speedup);
     }

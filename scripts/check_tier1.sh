@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure, build, run the full test suite, then the
-# perf/determinism smokes (hot-path allocation contract, the citywide
-# golden stdout pin, the sharded-formation digest pin and its 4-shard
-# speedup floor, the sim-as-a-service robustness pin, the trace-replay re-ingest
-# pin, and the faulted shard-axis digest pin), then the event engine's,
-# the scenario kernel's and the server's tests under AddressSanitizer +
-# UBSan, then the shard engine, the
-# differential fault fuzz and the scenario server under ThreadSanitizer.
-# Everything a PR must keep green.
+# Tier-1 gate: configure, build, run the full test suite (which includes
+# the perf/determinism smokes and golden stdout pins: trace-smoke,
+# citywide-smoke, shard-smoke, serve-smoke, trace-replay-smoke and the
+# *-golden tests), then the event engine's, the scenario kernel's and the
+# server's tests under AddressSanitizer + UBSan, then the shard engine,
+# the differential fault fuzz and the scenario server under
+# ThreadSanitizer. Everything a PR must keep green.
 #
 # Every ctest invocation carries a per-test timeout: the suite now
 # exercises servers, run deadlines, and cancellation, and a regression
@@ -22,17 +20,6 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" --timeout 300)
-"$BUILD_DIR"/bench/bench_microperf --smoke --json "$BUILD_DIR"/BENCH_hotpath.json
-cmake -DEXE="$BUILD_DIR"/bench/ext_citywide -DARGS=--smoke \
-  -DGOLDEN=data/golden/ext_citywide_smoke.txt -P cmake/compare_stdout.cmake
-"$BUILD_DIR"/bench/ext_citywide --smoke --shards 1,2,4 --assert-shards --json "$BUILD_DIR"/BENCH_citywide_shard.json
-(cd "$BUILD_DIR" && bench/serve_smoke --seeds 1000 --json BENCH_serve_smoke.json)
-(cd "$BUILD_DIR" && bench/ext_trace_replay --smoke 1 --trace ../data/traces/sample_occupancy.csv --resilience-csv BENCH_trace_replay_resilience.csv --shards 1,2)
-
-# Faulted shard smoke: the full fault taxonomy routed across shard widths
-# must reproduce the serial engine's resilience digest (rerun determinism,
-# shards=1 identity, width-invariant fault counts).
-"$BUILD_DIR"/bench/ext_fault_resilience --shards 1,2,4
 
 # Event engine and scenario kernel under AddressSanitizer +
 # UndefinedBehaviorSanitizer: the event queue's near tier links its slot

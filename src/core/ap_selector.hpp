@@ -64,8 +64,6 @@ class ApSelector {
       const std::vector<mac::ApObservation>& candidates,
       const std::unordered_set<wire::Bssid>& in_use, Time now) const;
 
-  std::size_t known_aps() const { return utilities_.size(); }
-
  private:
   struct Penalty {
     Time until{0};         ///< blacklisted while now < until

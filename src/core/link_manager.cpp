@@ -274,7 +274,6 @@ void LinkManager::on_link_dead(std::size_t vif_index) {
         // Came up only to die straight away: that is a flapping AP, not a
         // drive-past. Penalise beyond the ordinary blacklist.
         selector_.record_flap(vif.bssid(), sim_.now());
-        ++flaps_detected_;
       }
     }
     selector_.blacklist(vif.bssid(), sim_.now(), /*escalate=*/resilient);

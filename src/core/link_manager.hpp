@@ -47,7 +47,6 @@ class LinkManager {
   void start();
 
   ApSelector& selector() { return selector_; }
-  net::LeaseCache& lease_cache() { return lease_cache_; }
   const std::vector<JoinRecord>& join_log() const { return join_log_; }
 
   std::size_t links_up();
@@ -56,7 +55,6 @@ class LinkManager {
   // Resilience counters (hardened policy only).
   std::uint64_t watchdog_aborts() const { return watchdog_aborts_; }
   std::uint64_t cache_invalidations() const { return cache_invalidations_; }
-  std::uint64_t flaps_detected() const { return flaps_detected_; }
 
  private:
   struct VifContext {
@@ -98,7 +96,6 @@ class LinkManager {
   std::optional<sim::PeriodicTimer> watchdog_timer_;
   std::uint64_t watchdog_aborts_ = 0;
   std::uint64_t cache_invalidations_ = 0;
-  std::uint64_t flaps_detected_ = 0;
 };
 
 }  // namespace spider::core

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/tracer.hpp"
-#include "util/log.hpp"
 
 namespace spider::mac {
 

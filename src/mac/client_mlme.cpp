@@ -50,7 +50,6 @@ void ClientMlme::start_join(wire::Bssid bssid, wire::Channel channel) {
   channel_ = channel;
   state_ = State::kAuthenticating;
   retries_left_ = config_.max_retries;
-  join_started_ = sim_.now();
   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kAuthStart,
                .channel = static_cast<std::int16_t>(channel_),
                .track = trace_track_, .id = bssid_.raw());

@@ -83,9 +83,6 @@ class ClientMlme {
   wire::MacAddress self() const { return self_; }
   std::uint16_t aid() const { return aid_; }
 
-  /// Time the current/most recent join attempt started (for join logs).
-  Time join_started_at() const { return join_started_; }
-
  private:
   void send_current_message();
   void arm_timeout();
@@ -104,7 +101,6 @@ class ClientMlme {
   std::uint32_t trace_track_ = 0;
   std::uint16_t aid_ = 0;
   int retries_left_ = 0;
-  Time join_started_{0};
   sim::EventHandle timer_;
 };
 

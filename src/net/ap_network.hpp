@@ -47,9 +47,6 @@ class ApNetwork {
   /// daemon keeps serving (it runs on the box, not behind the WAN).
   void set_gateway_up(bool up) { gateway_up_ = up; }
   bool gateway_up() const { return gateway_up_; }
-  void set_internet_connected(bool connected) {
-    internet_connected_ = connected;
-  }
 
  private:
   void on_uplink(wire::PacketPtr packet, wire::MacAddress from);

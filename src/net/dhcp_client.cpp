@@ -17,7 +17,6 @@ DhcpClient::~DhcpClient() {
 
 void DhcpClient::start(std::optional<Lease> cached) {
   abort();
-  started_ = sim_.now();
   xid_ = next_xid_++;
   if (cached && cached->expires_at > sim_.now()) {
     // INIT-REBOOT: re-request the remembered address directly.

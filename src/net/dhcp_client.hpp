@@ -88,7 +88,6 @@ class DhcpClient {
   State state() const { return state_; }
   bool bound() const { return state_ == State::kBound; }
   const std::optional<Lease>& lease() const { return lease_; }
-  Time started_at() const { return started_; }
 
  private:
   void send_discover();
@@ -114,7 +113,6 @@ class DhcpClient {
   wire::Ipv4 pending_gateway_;
   bool renewing_ = false;
   std::optional<Lease> lease_;
-  Time started_{0};
   sim::EventHandle timer_;
   sim::EventHandle renew_timer_;
   std::uint32_t next_xid_ = 1;

@@ -103,7 +103,6 @@ void DhcpServer::handle_discover(const DhcpMessage& msg, wire::MacAddress from) 
   offer.gateway = gateway_;
   offer.lease_duration = config_.lease_duration;
 
-  ++offers_sent_;
   respond_after(draw_offer_delay(), offer, from);
 }
 

@@ -75,7 +75,6 @@ class DhcpServer {
   wire::Ipv4 gateway() const { return gateway_; }
   wire::Ipv4 subnet_base() const { return subnet_base_; }
   std::size_t leases_outstanding() const { return by_mac_.size(); }
-  std::uint64_t offers_sent() const { return offers_sent_; }
   std::uint64_t acks_sent() const { return acks_sent_; }
   std::uint64_t naks_sent() const { return naks_sent_; }
   std::uint64_t releases_received() const { return releases_; }
@@ -105,7 +104,6 @@ class DhcpServer {
   std::uint8_t next_host_;
   bool stalled_ = false;
   bool nak_requests_ = false;
-  std::uint64_t offers_sent_ = 0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t naks_sent_ = 0;
   std::uint64_t releases_ = 0;

@@ -147,12 +147,6 @@ void ChromeTraceWriter::finish() {
   os_ << "\n]}\n";
 }
 
-void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
-  ChromeTraceWriter writer(os);
-  writer.add_run(tracer, 0);
-  writer.finish();
-}
-
 void write_metrics_csv(std::ostream& os, const MetricsRegistry& metrics) {
   os << "metric,kind,value\n";
   for (const auto& [name, m] : metrics.entries()) {

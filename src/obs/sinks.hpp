@@ -45,9 +45,6 @@ class ChromeTraceWriter {
   bool finished_ = false;
 };
 
-/// Single-run convenience over ChromeTraceWriter.
-void write_chrome_trace(std::ostream& os, const Tracer& tracer);
-
 /// `metric,kind,value` rows in name order.
 void write_metrics_csv(std::ostream& os, const MetricsRegistry& metrics);
 

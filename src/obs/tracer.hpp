@@ -29,7 +29,7 @@ struct TracerConfig {
 /// sweep worker counts.
 ///
 /// When no tracer is installed the SPIDER_TRACE macro below costs one
-/// pointer load and branch — measured within noise on perf_smoke.
+/// pointer load and branch.
 class Tracer {
  public:
   explicit Tracer(TracerConfig config = {})
@@ -84,10 +84,7 @@ class Tracer {
 ///   SPIDER_TRACE(sim_, .kind = obs::TraceKind::kAssocOk,
 ///                .track = obs::track::client(i), .id = bssid.raw());
 ///
-/// Disabled-tracer cost: one pointer load + branch. Define SPIDER_TRACE_OFF
-/// to compile every emit site out entirely (the expression still
-/// type-checks against sizeof so sites cannot rot).
-#ifndef SPIDER_TRACE_OFF
+/// Disabled-tracer cost: one pointer load + branch.
 #define SPIDER_TRACE(sim, ...)                                          \
   do {                                                                  \
     if (::spider::obs::Tracer* spider_trace_t_ = (sim).tracer()) {      \
@@ -95,10 +92,3 @@ class Tracer {
                               ::spider::obs::TraceEvent{__VA_ARGS__});  \
     }                                                                   \
   } while (0)
-#else
-#define SPIDER_TRACE(sim, ...)                                        \
-  do {                                                                \
-    (void)sizeof(::spider::obs::TraceEvent{__VA_ARGS__});             \
-    (void)sizeof(sim);                                                \
-  } while (0)
-#endif

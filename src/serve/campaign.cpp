@@ -12,6 +12,7 @@
 
 #include "serve/client.hpp"
 #include "trace/runner.hpp"
+#include "trace/scenario_json.hpp"
 #include "util/json.hpp"
 
 namespace spider::serve {
@@ -204,7 +205,7 @@ void campaign_worker(const CampaignConfig& config, const std::string& socket,
     if (config.deadline_ms > 0.0) {
       request << ",\"deadline_ms\":" << json_number(config.deadline_ms);
     }
-    request << ",\"scenario\":" << scenario_to_json(scenario) << '}';
+    request << ",\"scenario\":" << trace::scenario_to_json(scenario) << '}';
 
     if (!client.send_line(request.str())) {
       retry_or_fail(pending, "unreachable", "send failed to " + socket,

@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
       config.base.clients =
           static_cast<int>(parse_number(argv[0], flag, value()));
     } else if (std::strcmp(flag, "--shards") == 0) {
-      // 0 = auto, 1 = serial, >1 = forced formation width; range-checked
-      // by validate() below like every other scenario field.
+      // 1 = serial, >1 = formation width; range-checked by validate()
+      // below like every other scenario field.
       config.base.shards =
           static_cast<int>(parse_number(argv[0], flag, value()));
     } else if (std::strcmp(flag, "--check-serial") == 0) {

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "trace/scenario_json.hpp"
-
 namespace spider::serve {
 
 using util::Json;
@@ -79,23 +77,6 @@ std::optional<RunStats> RunStats::from_json(const Json& json) {
         lat_num("m2"), lat_num("min"), lat_num("max"), lat_num("sum"));
   }
   return s;
-}
-
-// Scenario serde lives in trace/scenario_json.{hpp,cpp} — one shared
-// round trip for the server, the campaign runner, and the trace tooling.
-// These forwarders keep the serve-facing names stable.
-void write_scenario_json(std::ostream& os,
-                         const trace::ScenarioConfig& config) {
-  trace::write_scenario_json(os, config);
-}
-
-std::string scenario_to_json(const trace::ScenarioConfig& config) {
-  return trace::scenario_to_json(config);
-}
-
-bool parse_scenario(const Json& json, trace::ScenarioConfig* config,
-                    std::string* error) {
-  return trace::parse_scenario_json(json, config, error);
 }
 
 std::string make_ok_run_response(const std::string& id,

@@ -40,19 +40,6 @@ struct RunStats {
   static std::optional<RunStats> from_json(const util::Json& json);
 };
 
-/// Scenario serde: forwarders over the one shared round trip in
-/// trace/scenario_json.hpp (also used by spider_campaign and the trace
-/// tooling), covering the protocol subset of ScenarioConfig plus the
-/// client_mix/impairments extensions. parse is strict — an unknown
-/// scenario key or malformed value fails with a field-named error, so a
-/// client typo cannot silently diverge from the intended experiment (the
-/// campaign merge-equals-serial check depends on nothing being dropped).
-bool parse_scenario(const util::Json& json, trace::ScenarioConfig* config,
-                    std::string* error);
-void write_scenario_json(std::ostream& os,
-                         const trace::ScenarioConfig& config);
-std::string scenario_to_json(const trace::ScenarioConfig& config);
-
 /// Response envelopes. Every response carries the request id (empty string
 /// when the request was too malformed to have one).
 std::string make_ok_run_response(const std::string& id, const RunStats& stats);

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "trace/scenario_json.hpp"
+
 namespace spider::serve {
 
 namespace {
@@ -259,7 +261,8 @@ void ScenarioServer::handle_line(std::uint64_t conn_id, Connection& conn,
   job.request_id = id;
   std::string scenario_error;
   if (scenario_json == nullptr ||
-      !parse_scenario(*scenario_json, &job.scenario, &scenario_error)) {
+      !trace::parse_scenario_json(*scenario_json, &job.scenario,
+                                  &scenario_error)) {
     count("serve.invalid_requests");
     conn.outbox += make_reject_response(
         id, "invalid-request",

@@ -71,18 +71,6 @@ std::uint64_t shard_seed(std::uint64_t seed, int shard) {
 
 }  // namespace
 
-int resolve_shards(const ScenarioConfig& config) {
-  if (config.shards != 0) return std::max(1, config.shards);
-  // Automatic width, decided purely from the workload (never from the
-  // host) so every machine resolves — and reproduces — the same formation.
-  // Only city-scale populations amortise the window barriers. Impairment
-  // sources do not pin the run to one testbed: schedules compile into
-  // per-shard sub-schedules at partition time (DESIGN.md §12).
-  const bool city_scale =
-      config.city.has_value() && config.resolved_clients() >= 16;
-  return city_scale ? 4 : 1;
-}
-
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
                                 sim::CancelToken* cancel) {
@@ -90,7 +78,12 @@ ScenarioResult execute_scenario(const ScenarioConfig& config,
   // The placement's width. Width 1 is one testbed with no bus and no
   // fabric; wider formations run one testbed per shard in lockstep windows
   // (DESIGN.md §12). Everything else below is written once for both.
-  const int S = resolve_shards(config);
+  const int S = config.shards;
+  if (S < 1 || S > phy::kMaxShards) {
+    // Callers that ran validate() first never land here.
+    throw std::runtime_error("shards: must lie in [1, " +
+                             std::to_string(phy::kMaxShards) + "]");
+  }
   const auto width = static_cast<std::size_t>(S);
 
   // One testbed per shard: its own simulator, medium, wired core and

@@ -72,11 +72,10 @@ struct ScenarioConfig {
   /// Intra-run parallelism (DESIGN.md §12): partition this one run's
   /// radios across `shards` event loops synchronized conservatively by
   /// channel/stripe ownership. 1 (default) is the plain serial engine,
-  /// byte-identical to every pre-shard build; 0 resolves automatically
-  /// from the workload (machine-independent, so results stay reproducible
-  /// across hosts); >1 forces a formation of that width. Sharded results
-  /// are deterministic per (config, seed, shards) but not byte-identical
-  /// across different shard counts. Impairment sources (synthetic or
+  /// byte-identical to every pre-shard build; >1 runs a formation of that
+  /// width, at most kMaxShards. Sharded results are deterministic per
+  /// (config, seed, shards) but not byte-identical across different
+  /// shard counts. Impairment sources (synthetic or
   /// trace-backed) run at any width: the schedule compiles into per-shard
   /// sub-schedules at partition time (DESIGN.md §12, fault routing across
   /// shards), with resilience counters exact-summing back to the serial
@@ -158,7 +157,7 @@ struct ScenarioResult {
 
 namespace detail {
 /// The single scenario kernel every entrypoint funnels into: assembles a
-/// placement of width S = resolve_shards(config), installs `tracer` when
+/// placement of width S = config.shards, installs `tracer` when
 /// given, runs, harvests. Width 1 is one testbed with no bus and no
 /// fabric; wider formations run one testbed per shard, APs on their stripe
 /// owners and clients homed round-robin with phy proxies on their channel
@@ -170,13 +169,6 @@ namespace detail {
 ScenarioResult execute_scenario(const ScenarioConfig& config,
                                 std::shared_ptr<obs::Tracer> tracer,
                                 sim::CancelToken* cancel = nullptr);
-
-/// Shard count a config actually runs with: `shards` verbatim when >= 1,
-/// the workload-derived automatic choice when 0. Pure function of the
-/// config (never of the host), so auto-sharded results are reproducible
-/// across machines. ScenarioRunner divides its --jobs budget by the
-/// resolved width so a campaign of sharded runs never oversubscribes.
-int resolve_shards(const ScenarioConfig& config);
 
 /// Fills the join-log digests (attempted/assoc/dhcp/e2e) from result.join_log.
 void digest_join_log(ScenarioResult& result);

@@ -77,26 +77,6 @@ bool write_cdf_csv(const std::string& path, const Cdf& cdf,
                     [&](std::ostream& os) { write_cdf_csv(os, cdf, x_label); });
 }
 
-void write_resilience_csv(std::ostream& os,
-                          const ResilienceRecorder& recorder) {
-  os << "metric,value\n";
-  os << "faults_injected," << recorder.faults_injected() << '\n';
-  os << "outages," << recorder.outages() << '\n';
-  os << "recoveries," << recorder.recoveries() << '\n';
-  const Cdf& ttr = recorder.time_to_recover();
-  if (ttr.empty()) return;
-  os << "ttr_p50_s," << ttr.quantile(0.5) << '\n';
-  os << "ttr_p90_s," << ttr.quantile(0.9) << '\n';
-  os << "ttr_p99_s," << ttr.quantile(0.99) << '\n';
-  os << "ttr_max_s," << ttr.quantile(1.0) << '\n';
-}
-
-bool write_resilience_csv(const std::string& path,
-                          const ResilienceRecorder& recorder) {
-  return export_csv(
-      path, [&](std::ostream& os) { write_resilience_csv(os, recorder); });
-}
-
 void write_resilience_summary_csv(std::ostream& os,
                                   const std::vector<ScenarioResult>& results) {
   os << "run,faults_injected,outages,recoveries,ttr_p50_s,ttr_p90_s,"

@@ -38,12 +38,6 @@ void write_cdf_csv(std::ostream& os, const Cdf& cdf, const std::string& x_label)
 bool write_cdf_csv(const std::string& path, const Cdf& cdf,
                    const std::string& x_label);
 
-/// `metric,value` rows: faults injected, outages, recoveries, and the
-/// p50/p90/p99/max of the time-to-recover distribution (seconds).
-void write_resilience_csv(std::ostream& os, const ResilienceRecorder& recorder);
-bool write_resilience_csv(const std::string& path,
-                          const ResilienceRecorder& recorder);
-
 /// One row per result, in submission order:
 /// `run,faults_injected,outages,recoveries,ttr_p50_s,ttr_p90_s,ttr_max_s`
 /// (empty recovery distributions print empty cells). Deterministic — no

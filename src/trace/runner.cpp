@@ -21,8 +21,7 @@ std::vector<ScenarioResult> ScenarioRunner::execute(
   // runs * shards never oversubscribes the configured budget.
   std::size_t widest = 1;
   for (const ScenarioConfig& config : expanded) {
-    widest = std::max(
-        widest, static_cast<std::size_t>(detail::resolve_shards(config)));
+    widest = std::max(widest, static_cast<std::size_t>(config.shards));
   }
   const std::size_t pool_jobs = std::max<std::size_t>(1, jobs_ / widest);
   return util::parallel_map(pool_jobs, expanded.size(), [&](std::size_t i) {

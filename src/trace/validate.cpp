@@ -188,10 +188,10 @@ std::vector<ConfigIssue> ScenarioConfig::validate() const {
     }
   }
 
-  if (shards < 0 || shards > phy::kMaxShards) {
-    issues.push_back({"shards", "must lie in [0, " +
+  if (shards < 1 || shards > phy::kMaxShards) {
+    issues.push_back({"shards", "must lie in [1, " +
                                     std::to_string(phy::kMaxShards) +
-                                    "] (0 = auto, 1 = serial)"});
+                                    "] (1 = serial)"});
   }
   // Impairment sources of every kind (synthetic schedule, trace file,
   // inline timeline) are valid at any formation width: schedules compile

@@ -1,5 +1,5 @@
-// Coverage for the remaining small public surfaces: logging, radio address
-// ownership, TCP congestion details, scanner cache hygiene, DHCP clamping.
+// Coverage for the remaining small public surfaces: radio address ownership,
+// TCP congestion details, scanner cache hygiene, DHCP clamping.
 
 #include <gtest/gtest.h>
 
@@ -12,43 +12,10 @@
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 namespace spider {
 namespace {
-
-struct LogCapture {
-  std::vector<std::pair<LogLevel, std::string>> lines;
-  LogCapture() {
-    Log::set_sink([this](LogLevel level, const std::string& line) {
-      lines.emplace_back(level, line);
-    });
-  }
-  ~LogCapture() {
-    Log::set_sink(nullptr);
-    Log::set_level(LogLevel::kOff);
-  }
-};
-
-TEST(Log, LevelGatesMacro) {
-  LogCapture capture;
-  Log::set_level(LogLevel::kWarn);
-  SPIDER_LOG(LogLevel::kInfo, msec(10), "test", "too quiet");
-  SPIDER_LOG(LogLevel::kWarn, msec(20), "test", "heard");
-  SPIDER_LOG(LogLevel::kError, msec(30), "test", "also heard");
-  ASSERT_EQ(capture.lines.size(), 2u);
-  EXPECT_EQ(capture.lines[0].first, LogLevel::kWarn);
-  EXPECT_NE(capture.lines[0].second.find("heard"), std::string::npos);
-  EXPECT_NE(capture.lines[0].second.find("20ms"), std::string::npos);
-}
-
-TEST(Log, OffSilencesEverything) {
-  LogCapture capture;
-  Log::set_level(LogLevel::kOff);
-  SPIDER_LOG(LogLevel::kError, msec(1), "test", "nope");
-  EXPECT_TRUE(capture.lines.empty());
-}
 
 TEST(Radio, OwnsAddressDefaultIsOwnMac) {
   sim::Simulator sim;

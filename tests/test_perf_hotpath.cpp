@@ -144,15 +144,32 @@ TEST(EventQueue, HandleFreePathAllocatesNoHandlesOrHeapCallbacks) {
 }
 
 TEST(EventQueue, CancellablePathCountsHandlesButNotHeapCallbacks) {
-  sim::EventQueue q;
-  auto h = q.push(usec(1), [] {});
-  q.push(usec(2), [] {});
-  h.cancel();
-  while (!q.empty()) q.pop_and_run();
-  const sim::PerfCounters p = q.perf();
-  EXPECT_EQ(p.handles_allocated, 2u);
-  EXPECT_EQ(p.callbacks_heap, 0u);
-  EXPECT_EQ(p.events_cancelled, 1u);
+  // One cancelled timer of two, then a retransmit-timer churn in which 7 of
+  // every 8 handles are cancelled before they fire: every push allocates a
+  // handle, and none may spill its callback to the heap.
+  struct Case {
+    int rounds;
+    int per_round;
+    int keep_every;  ///< push i of a round survives iff i % keep_every == 0
+  };
+  for (const Case c : {Case{1, 2, 2}, Case{64, 256, 8}}) {
+    sim::EventQueue q;
+    std::int64_t t = 0;
+    for (int round = 0; round < c.rounds; ++round) {
+      for (int i = 0; i < c.per_round; ++i) {
+        auto h = q.push(Time{t + 1000 + i}, [] {});
+        if (i % c.keep_every != 0) h.cancel();
+      }
+      while (!q.empty()) q.pop_and_run();
+      t += 2000;
+    }
+    const auto pushed = static_cast<std::uint64_t>(c.rounds * c.per_round);
+    const sim::PerfCounters p = q.perf();
+    EXPECT_EQ(p.handles_allocated, pushed) << c.per_round;
+    EXPECT_EQ(p.callbacks_heap, 0u) << c.per_round;
+    EXPECT_EQ(p.events_cancelled, pushed - pushed / c.keep_every)
+        << c.per_round;
+  }
 }
 
 TEST(EventQueue, OversizedCaptureIsCountedNotLost) {
@@ -168,18 +185,37 @@ TEST(EventQueue, OversizedCaptureIsCountedNotLost) {
 
 TEST(Medium, DeliveryRecordFitsInlineBuffer) {
   // The medium's per-receiver delivery capture must never outgrow the
-  // inline buffer — that would silently reintroduce a malloc per frame.
-  sim::Simulator s;
-  phy::Medium medium(s, phy::Propagation(lossless_config()), Rng(1));
-  phy::Radio tx(medium, wire::MacAddress(1), [] { return Position{0, 0}; });
-  phy::Radio rx(medium, wire::MacAddress(2), [] { return Position{10, 0}; });
-  tx.tune(6);
-  rx.tune(6);
-  s.run_until(msec(50));
-  tx.send(broadcast_frame());
-  s.run_until(msec(100));
-  EXPECT_EQ(medium.frames_delivered(), 1u);
-  EXPECT_EQ(s.perf().callbacks_heap, 0u);
+  // inline buffer — that would silently reintroduce a malloc per frame —
+  // and deliveries ride the handle-free path, so the medium's fan-out of a
+  // broadcast, sent over and over, allocates no event handle once the
+  // radios are tuned.
+  for (const int receivers : {1, 128}) {
+    sim::Simulator s;
+    phy::Medium medium(s, phy::Propagation(lossless_config()), Rng(1));
+    phy::Radio tx(medium, wire::MacAddress(1), [] { return Position{0, 0}; });
+    tx.tune(6);
+    std::vector<std::unique_ptr<phy::Radio>> rxs;
+    for (int i = 0; i < receivers; ++i) {
+      rxs.push_back(std::make_unique<phy::Radio>(
+          medium, wire::MacAddress(static_cast<std::uint64_t>(i) + 2), [i] {
+            return Position{10.0 + i % 16, static_cast<double>(i / 16)};
+          }));
+      rxs.back()->tune(6);
+    }
+    s.run_until(msec(50));
+    // The tunes above used cancellable control events (handles by design).
+    const std::uint64_t handles_after_setup = s.perf().handles_allocated;
+    constexpr int kSends = 50;
+    for (int i = 0; i < kSends; ++i) {
+      medium.transmit(tx, broadcast_frame());
+      s.run_until(s.now() + msec(5));
+    }
+    const auto deliveries = static_cast<std::uint64_t>(kSends * receivers);
+    EXPECT_EQ(medium.fanout_scheduled(), deliveries) << receivers;
+    EXPECT_EQ(medium.frames_delivered(), deliveries) << receivers;
+    EXPECT_EQ(s.perf().handles_allocated, handles_after_setup) << receivers;
+    EXPECT_EQ(s.perf().callbacks_heap, 0u) << receivers;
+  }
 }
 
 // ------------------------------------------------------------- channel index

@@ -22,6 +22,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "trace/runner.hpp"
+#include "trace/scenario_json.hpp"
 #include "util/json.hpp"
 
 namespace spider::serve {
@@ -214,25 +215,25 @@ TEST(Protocol, ScenarioRoundTripsThroughWireForm) {
   trace::ScenarioConfig config = quick_scenario(99, 42.5);
   config.driver = trace::DriverKind::kFatVap;
   config.spider.num_interfaces = 3;
-  const std::string wire = scenario_to_json(config);
+  const std::string wire = trace::scenario_to_json(config);
   const std::optional<util::Json> parsed = util::Json::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   trace::ScenarioConfig back;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-  EXPECT_EQ(wire, scenario_to_json(back));
+  ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
+  EXPECT_EQ(wire, trace::scenario_to_json(back));
 }
 
 TEST(Protocol, ShardsRoundTripsAndBadValuesFailValidation) {
   trace::ScenarioConfig config = quick_scenario(7);
   config.shards = 4;
-  const std::string wire = scenario_to_json(config);
+  const std::string wire = trace::scenario_to_json(config);
   EXPECT_NE(wire.find("\"shards\":4"), std::string::npos);
   const std::optional<util::Json> parsed = util::Json::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   trace::ScenarioConfig back;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
+  ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
   EXPECT_EQ(back.shards, 4);
 
   // A non-numeric shards value must surface as an invalid config, not
@@ -241,7 +242,7 @@ TEST(Protocol, ShardsRoundTripsAndBadValuesFailValidation) {
       util::Json::parse(R"({"seed":1,"shards":"wide"})");
   ASSERT_TRUE(bad.has_value());
   trace::ScenarioConfig mangled;
-  ASSERT_TRUE(parse_scenario(*bad, &mangled, &error)) << error;
+  ASSERT_TRUE(trace::parse_scenario_json(*bad, &mangled, &error)) << error;
   EXPECT_FALSE(mangled.validate().empty());
 }
 
@@ -255,7 +256,7 @@ TEST(Protocol, UnknownScenarioKeyIsAnError) {
     ASSERT_TRUE(json.has_value());
     trace::ScenarioConfig config;
     std::string error;
-    EXPECT_FALSE(parse_scenario(*json, &config, &error));
+    EXPECT_FALSE(trace::parse_scenario_json(*json, &config, &error));
     EXPECT_NE(error.find(key), std::string::npos);
   }
 }
@@ -264,7 +265,7 @@ TEST(Protocol, ExtensionFreeConfigKeepsPreExtensionWireBytes) {
   // The declarative extensions must travel only when non-default: a
   // mix-free, impairment-free scenario serializes to the exact wire bytes
   // every pre-extension client and journal expects.
-  const std::string wire = scenario_to_json(quick_scenario(3));
+  const std::string wire = trace::scenario_to_json(quick_scenario(3));
   EXPECT_EQ(wire.find("client_mix"), std::string::npos);
   EXPECT_EQ(wire.find("impairments"), std::string::npos);
 }
@@ -281,13 +282,13 @@ TEST(Protocol, ClientMixRoundTripsThroughWireForm) {
   handsets.profile.psm_duty = 0.25;  // a customized preset
   config.client_mix = {laptops, handsets};
 
-  const std::string wire = scenario_to_json(config);
+  const std::string wire = trace::scenario_to_json(config);
   const std::optional<util::Json> parsed = util::Json::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   trace::ScenarioConfig back;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-  EXPECT_EQ(wire, scenario_to_json(back));
+  ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
+  EXPECT_EQ(wire, trace::scenario_to_json(back));
   ASSERT_EQ(back.client_mix.size(), 2u);
   EXPECT_EQ(back.client_mix[0].count, 2);
   EXPECT_EQ(back.client_mix[0].profile.kind,
@@ -301,13 +302,13 @@ TEST(Protocol, SyntheticScheduleRoundTripsFaultSpecsExactly) {
   config.impairments.schedule.burst_loss(msec(2500), sec(3), 6, 0.7, msec(40),
                                          msec(160));
 
-  const std::string wire = scenario_to_json(config);
+  const std::string wire = trace::scenario_to_json(config);
   const std::optional<util::Json> parsed = util::Json::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   trace::ScenarioConfig back;
   std::string error;
-  ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-  EXPECT_EQ(wire, scenario_to_json(back));
+  ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
+  EXPECT_EQ(wire, trace::scenario_to_json(back));
   ASSERT_EQ(back.impairments.schedule.size(), 2u);
   const fault::FaultSpec& burst = back.impairments.schedule.specs()[1];
   EXPECT_EQ(burst.kind, fault::FaultKind::kChannelBurstLoss);
@@ -328,13 +329,13 @@ TEST(Protocol, TraceBackedImpairmentsRoundTripThroughWireForm) {
   config.impairments =
       trace::ImpairmentSource::trace_file("traces/walk.csv", replay);
   {
-    const std::string wire = scenario_to_json(config);
+    const std::string wire = trace::scenario_to_json(config);
     const std::optional<util::Json> parsed = util::Json::parse(wire);
     ASSERT_TRUE(parsed.has_value());
     trace::ScenarioConfig back;
     std::string error;
-    ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-    EXPECT_EQ(wire, scenario_to_json(back));
+    ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
+    EXPECT_EQ(wire, trace::scenario_to_json(back));
     EXPECT_EQ(back.impairments.kind, trace::ImpairmentSource::Kind::kTraceFile);
     EXPECT_EQ(back.impairments.trace_path, "traces/walk.csv");
     EXPECT_EQ(back.impairments.replay.mapping, tracein::ReplayMapping::kBurst);
@@ -348,13 +349,13 @@ TEST(Protocol, TraceBackedImpairmentsRoundTripThroughWireForm) {
   timeline.samples.push_back({Time{300000}, 11, 0.125});
   config.impairments = trace::ImpairmentSource::inline_timeline(timeline);
   {
-    const std::string wire = scenario_to_json(config);
+    const std::string wire = trace::scenario_to_json(config);
     const std::optional<util::Json> parsed = util::Json::parse(wire);
     ASSERT_TRUE(parsed.has_value());
     trace::ScenarioConfig back;
     std::string error;
-    ASSERT_TRUE(parse_scenario(*parsed, &back, &error)) << error;
-    EXPECT_EQ(wire, scenario_to_json(back));
+    ASSERT_TRUE(trace::parse_scenario_json(*parsed, &back, &error)) << error;
+    EXPECT_EQ(wire, trace::scenario_to_json(back));
     EXPECT_TRUE(back.impairments.timeline == timeline);
   }
 }
@@ -367,7 +368,7 @@ std::string scenario_parse_failure(const std::string& text) {
   if (!json.has_value()) return "";
   trace::ScenarioConfig config;
   std::string error;
-  if (parse_scenario(*json, &config, &error)) return "";
+  if (trace::parse_scenario_json(*json, &config, &error)) return "";
   return error;
 }
 
@@ -470,7 +471,7 @@ TEST(Server, RunMatchesInProcessRunnerByteForByte) {
   const trace::ScenarioConfig config = quick_scenario(21, 30.0);
   const util::Json response =
       rpc(client, R"({"op":"run","id":"r","deadline_ms":600000,"scenario":)" +
-                      scenario_to_json(config) + "}");
+                      trace::scenario_to_json(config) + "}");
   const util::Json* ok = response.find("ok");
   ASSERT_NE(ok, nullptr);
   ASSERT_TRUE(ok->bool_or(false));
@@ -498,7 +499,7 @@ TEST(Server, FaultedShardedRunAcceptedOverTheWire) {
       .burst_loss(sec(8), sec(3), 6, 0.8);
   const util::Json response =
       rpc(client, R"({"op":"run","id":"fs","deadline_ms":600000,"scenario":)" +
-                      scenario_to_json(config) + "}");
+                      trace::scenario_to_json(config) + "}");
   const util::Json* ok = response.find("ok");
   ASSERT_NE(ok, nullptr);
   ASSERT_TRUE(ok->bool_or(false)) << error_kind(response);
@@ -525,7 +526,7 @@ TEST(Server, DeadlineReapsStalledRun) {
   const auto t0 = std::chrono::steady_clock::now();
   const util::Json response =
       rpc(client, R"({"op":"run","id":"s","deadline_ms":100,"scenario":)" +
-                      scenario_to_json(scenario) + "}");
+                      trace::scenario_to_json(scenario) + "}");
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   EXPECT_EQ(error_kind(response), "deadline-exceeded");
@@ -549,17 +550,17 @@ TEST(Server, OverloadRejectionCarriesRetryAfter) {
   // watch the next admission bounce.
   const std::string stalled =
       R"({"op":"run","id":"w0","deadline_ms":2000,"scenario":)" +
-      scenario_to_json(quick_scenario(555)) + "}";
+      trace::scenario_to_json(quick_scenario(555)) + "}";
   ASSERT_TRUE(client.send_line(stalled));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));  // in worker
   ASSERT_TRUE(client.send_line(
       R"({"op":"run","id":"w1","scenario":)" +
-      scenario_to_json(quick_scenario(1, 5.0)) + "}"));
+      trace::scenario_to_json(quick_scenario(1, 5.0)) + "}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // queued
 
   const util::Json rejected = rpc(
       client, R"({"op":"run","id":"w2","scenario":)" +
-                  scenario_to_json(quick_scenario(2, 5.0)) + "}");
+                  trace::scenario_to_json(quick_scenario(2, 5.0)) + "}");
   EXPECT_EQ(error_kind(rejected), "overloaded");
   const util::Json* retry_after = rejected.find("retry_after_ms");
   ASSERT_NE(retry_after, nullptr);
@@ -597,7 +598,7 @@ TEST(Server, GracefulShutdownDrainsAndRejectsNewWork) {
   // A stalled run (bounded by its deadline) holds the drain open.
   ASSERT_TRUE(client.send_line(
       R"({"op":"run","id":"d0","deadline_ms":500,"scenario":)" +
-      scenario_to_json(quick_scenario(333)) + "}"));
+      trace::scenario_to_json(quick_scenario(333)) + "}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   std::thread stopper([&] { ts.server.shutdown(); });
@@ -606,7 +607,7 @@ TEST(Server, GracefulShutdownDrainsAndRejectsNewWork) {
   LineClient late = ts.connect();
   const util::Json rejected = rpc(
       late, R"({"op":"run","id":"d1","scenario":)" +
-                scenario_to_json(quick_scenario(3, 5.0)) + "}");
+                trace::scenario_to_json(quick_scenario(3, 5.0)) + "}");
   EXPECT_EQ(error_kind(rejected), "shutting-down");
 
   // The in-flight response is still flushed before the server exits.
@@ -632,10 +633,10 @@ TEST(Server, HardShutdownCancelsQueuedAndInflightRuns) {
   // end it; the second run waits in the queue behind it.
   ASSERT_TRUE(client.send_line(
       R"({"op":"run","id":"h0","scenario":)" +
-      scenario_to_json(quick_scenario(444)) + "}"));
+      trace::scenario_to_json(quick_scenario(444)) + "}"));
   ASSERT_TRUE(client.send_line(
       R"({"op":"run","id":"h1","scenario":)" +
-      scenario_to_json(quick_scenario(4, 5.0)) + "}"));
+      trace::scenario_to_json(quick_scenario(4, 5.0)) + "}"));
   for (int i = 0; i < 200; ++i) {
     const obs::MetricsRegistry m = ts.server.metrics_snapshot();
     if (m.value("serve.admitted") == 2.0 &&
@@ -676,7 +677,7 @@ TEST(Server, DisconnectCancelsThatClientsRuns) {
     LineClient doomed = ts.connect();
     ASSERT_TRUE(doomed.send_line(
         R"({"op":"run","id":"gone","scenario":)" +
-        scenario_to_json(quick_scenario(5, 1000000.0)) + "}"));
+        trace::scenario_to_json(quick_scenario(5, 1000000.0)) + "}"));
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
   }  // disconnect while the (very long) run is in flight
 

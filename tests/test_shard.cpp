@@ -755,36 +755,19 @@ TEST(ShardFabric, DifferentialFuzzMatchesSerialAcross200Seeds) {
 }  // namespace spider::phy
 
 // ---------------------------------------------------------------------
-// Scenario plumbing: shard resolution, validation, determinism.
+// Scenario plumbing: validation, determinism.
 // ---------------------------------------------------------------------
 
 namespace spider::trace {
 namespace {
-
-TEST(ShardScenario, ResolveShardsRules) {
-  ScenarioConfig cfg;
-  EXPECT_EQ(detail::resolve_shards(cfg), 1);  // default serial
-  cfg.shards = 3;
-  EXPECT_EQ(detail::resolve_shards(cfg), 3);  // explicit verbatim
-  cfg.shards = 0;
-  EXPECT_EQ(detail::resolve_shards(cfg), 1);  // auto: road stays serial
-  cfg.city = mob::CityGridConfig{};
-  cfg.clients = 16;
-  EXPECT_EQ(detail::resolve_shards(cfg), 4);  // auto: wide city run
-  cfg.clients = 4;
-  EXPECT_EQ(detail::resolve_shards(cfg), 1);  // auto: too narrow
-  cfg.clients = 16;
-  cfg.impairments.schedule.ap_blackout(sec(10), sec(1), 0);
-  // Faulted city scenarios shard too: schedules compile into per-shard
-  // sub-schedules at partition time, so auto no longer avoids them.
-  EXPECT_EQ(detail::resolve_shards(cfg), 4);
-}
 
 TEST(ShardScenario, ValidateRejectsShardMisuse) {
   ScenarioConfig cfg;
   cfg.shards = 2;
   EXPECT_TRUE(cfg.validate().empty());
   cfg.shards = phy::kMaxShards + 1;
+  EXPECT_FALSE(cfg.validate().empty());
+  cfg.shards = 0;
   EXPECT_FALSE(cfg.validate().empty());
   cfg.shards = -1;
   EXPECT_FALSE(cfg.validate().empty());

@@ -543,7 +543,7 @@ TEST(Validate, ShardAcceptanceMatrixAndSourceFieldNaming) {
   tracein::OccupancyTimeline t;
   t.samples.push_back({sec(1), 6, 0.5});
 
-  for (int shards : {0, 1, 2, 4, phy::kMaxShards}) {
+  for (int shards : {1, 2, 4, phy::kMaxShards}) {
     trace::ScenarioConfig config;
     config.shards = shards;
 
